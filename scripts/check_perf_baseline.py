@@ -25,7 +25,8 @@ and hide in the ratio), a second, looser memcpy-normalized gate
 (tolerance 0.6) backstops substrate-wide slowdowns. All other kernels
 normalize against `memcpy` for the informational report.
 
-Only kernels listed via --kernel (default: huffman_decode) gate the build;
+Only kernels listed via --kernel (default: the four huffman_* kernels,
+sz2_roundtrip, sz2_decompress and lz_compress) gate the build;
 everything else is reported for the artifact log. To refresh a baseline
 after an intentional perf change, either re-emit straight from the bench:
 
@@ -64,7 +65,8 @@ def main() -> int:
     ap.add_argument("--kernel", action="append", default=None,
                     help="gating kernel(s); default: huffman_decode, "
                          "huffman_decode_lowent, huffman_encode, "
-                         "huffman_encode_lowent, sz2_roundtrip, lz_compress")
+                         "huffman_encode_lowent, sz2_roundtrip, "
+                         "sz2_decompress, lz_compress")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed normalized-throughput drop (default 0.25)")
     ap.add_argument("--update", action="store_true",
@@ -72,7 +74,8 @@ def main() -> int:
     args = ap.parse_args()
     gates = args.kernel or ["huffman_decode", "huffman_decode_lowent",
                             "huffman_encode", "huffman_encode_lowent",
-                            "sz2_roundtrip", "lz_compress"]
+                            "sz2_roundtrip", "sz2_decompress",
+                            "lz_compress"]
 
     if args.update:
         with open(args.current) as f:

@@ -78,14 +78,6 @@ struct RowStencil {
   std::array<std::pair<std::size_t, double>, 15> tail_terms;
   int head_n = 0;
   int tail_n = 0;
-  // Tail terms before the first offset-1 term (the {d3} mask). Only an
-  // offset-1 gather reads a value written earlier in the *same* row —
-  // every other offset is at least stride[2] = dim[3] >= ext3, i.e. a row
-  // completed by an earlier visit — so the leading split_n terms of every
-  // element's sum are independent of the reconstruction feedback chain
-  // and can be pre-accumulated for the whole row (in term order, hence
-  // bit-identically) before the sequential sweep.
-  int split_n = 0;
 };
 
 RowStencil row_stencil(const Geometry& g,
@@ -109,12 +101,6 @@ RowStencil row_stencil(const Geometry& g,
     st.tail_terms[st.tail_n++] = {off, sign};
     if (!touches_d3) st.head_terms[st.head_n++] = {off, sign};
   }
-  st.split_n = st.tail_n;
-  for (int k = 0; k < st.tail_n; ++k)
-    if (st.tail_terms[k].first == 1) {
-      st.split_n = k;
-      break;
-    }
   return st;
 }
 
@@ -156,38 +142,6 @@ inline double stencil_predict(
   return pred;
 }
 
-// Continues a prediction sum from `pred` over terms [k0, k0+N): the
-// feedback-dependent suffix of a split row sweep. Same sequential
-// accumulation as stencil_predict picking up at index k0, so
-// prefix-then-suffix equals the one-pass sum bit-for-bit.
-template <int N, typename V>
-inline double stencil_accum_n(
-    double pred, const std::array<std::pair<std::size_t, double>, 15>& terms,
-    int k0, const V* vals, std::size_t lin) {
-  for (int k = 0; k < N; ++k)
-    pred += terms[k0 + k].second *
-            static_cast<double>(vals[lin - terms[k0 + k].first]);
-  return pred;
-}
-
-template <typename V>
-inline double stencil_accum(
-    double pred, const std::array<std::pair<std::size_t, double>, 15>& terms,
-    int k0, int n, const V* vals, std::size_t lin) {
-  switch (n - k0) {  // suffix counts per dimensionality: 4/2/1/8 hot
-    case 4: return stencil_accum_n<4>(pred, terms, k0, vals, lin);
-    case 2: return stencil_accum_n<2>(pred, terms, k0, vals, lin);
-    case 1: return stencil_accum_n<1>(pred, terms, k0, vals, lin);
-    case 8: return stencil_accum_n<8>(pred, terms, k0, vals, lin);
-    case 0: return pred;
-    default: break;
-  }
-  for (int k = k0; k < n; ++k)
-    pred += terms[k].second *
-            static_cast<double>(vals[lin - terms[k].first]);
-  return pred;
-}
-
 // row_stencil only reads `row` through row[d] == 0 tests, so a stencil is
 // fully determined by the 4-bit zero-pattern of the row base — 16
 // possibilities. Rebuilding per boundary row was ~16% of compress-slab
@@ -222,58 +176,34 @@ struct StencilCache {
 
   // Visits one d3 row of Lorenzo predictions: head stencil for the global
   // first element (nothing behind it along d3), tail for the rest.
-  // Exactly the split the original SZ2 walker performed inline.
+  // Exactly the split the original SZ2 walker performed inline. Every
+  // prediction is one fused sum over its stencil, in term order, read
+  // from `recon` — compress and decode run this same loop.
   //
-  // The tail sweep is split at the stencil's first offset-1 term: the
-  // leading split_n terms read rows finished by earlier visits, so their
-  // partial sums are computed for the whole row up front — off the
-  // reconstruction feedback chain, where the CPU pipelines them freely —
-  // and only the suffix (the {d3} term and the masks behind it) stays on
-  // the element-to-element dependency path. Prefix and suffix accumulate
-  // in the original term order from the original 0.0 seed, so every
-  // prediction is bit-identical to the fused per-element sum; with the
-  // 3D interior stencil this shortens the carried chain from 7 dependent
-  // adds to 4.
-  //
-  // fn returns the double value of the reconstruction it just stored
-  // (exactly (double)recon[lin]: the stored value is V-representable, so
-  // the round trip through V is an identity). The offset-1 gather — the
-  // only term that reads the element written one iteration ago — uses
-  // that carried value instead of reloading recon, which takes the
-  // store-to-load forward plus a widening convert off the feedback
-  // chain. The product is numerically the same either way.
+  // The walk once split each row instead: a first pass summed the terms
+  // ahead of the offset-1 {d3} term for the whole row into a stack array,
+  // and a second pass finished each sum from the previous reconstruction,
+  // carried in a register. That shortens the element-to-element add
+  // chain, but this kernel is not bound by that chain. block_decompress
+  // over 16 zones of 8x128x128 NYX took 43.5-45.0 ms split and 28.4-29.9
+  // ms fused and decoding into the output (GCC 12.2 -O2, one pinned core
+  // of a shared 4-vCPU VM, 30-iteration medians, 4 interleaved rounds);
+  // block_compress went from 90.1-93.5 to 83.5-90.3 ms. The extra pass
+  // and its stack traffic cost more than the shorter chain saved. A
+  // register-resident multi-row wavefront measured no faster either.
   template <typename V, typename Fn>
   void visit_row(const Geometry& g, const std::array<std::size_t, 4>& row,
                  std::size_t base, std::size_t ext3, const V* recon,
                  Fn&& fn) const {
     const RowStencil& st = for_row(row);
     std::size_t c3 = 0;
-    double carried = 0.0;
     if (row[3] == 0 && g.dim[3] > 1 && ext3 > 0) {
-      carried =
-          fn(base, stencil_predict(st.head_terms, st.head_n, recon, base));
+      fn(base, stencil_predict(st.head_terms, st.head_n, recon, base));
       c3 = 1;
-    } else if (st.split_n < st.tail_n && ext3 > 0) {
-      // A tail stencil only carries an offset-1 term when the coordinate
-      // along that dimension is nonzero, so the element one slot back
-      // exists and was written by an earlier row or block.
-      carried = static_cast<double>(recon[base - 1]);
     }
-    double pre[256];  // rows are at most the largest block edge long
-    for (std::size_t i = c3; i < ext3; ++i)
-      pre[i] = stencil_predict(st.tail_terms, st.split_n, recon, base + i);
-    if (st.split_n < st.tail_n) {
-      for (; c3 < ext3; ++c3) {
-        const std::size_t lin = base + c3;
-        // Same association as the fused sum: prefix, then the offset-1
-        // term, then the remaining suffix terms in order.
-        double pred = pre[c3] + st.tail_terms[st.split_n].second * carried;
-        pred = stencil_accum(pred, st.tail_terms, st.split_n + 1, st.tail_n,
-                             recon, lin);
-        carried = fn(lin, pred);
-      }
-    } else {
-      for (; c3 < ext3; ++c3) fn(base + c3, pre[c3]);
+    for (; c3 < ext3; ++c3) {
+      const std::size_t lin = base + c3;
+      fn(lin, stencil_predict(st.tail_terms, st.tail_n, recon, lin));
     }
   }
 };
@@ -661,10 +591,6 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
           }
           recon[lin] = static_cast<ReconT>(r);
           *code_dst++ = code;
-          // r is exactly T-representable (quantize stores the double of a
-          // T-cast; the unpredictable path stores the double of a T datum),
-          // so this is (double)recon[lin] without re-reading the store.
-          return r;
         },
         // Regression rows: stride-1 vectorized quantization, then a scan
         // for the (rare) unpredictable slots so the exact-value stream
@@ -690,12 +616,10 @@ Field decompress_impl(const BlobHeader& header, const Q& quant,
   const bool reg_allowed = regression_allowed(pred, g.real_dims);
 
   NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  // recon holds values the decompressor materializes: every entry is the
-  // T-cast of a prediction+residual, hence exactly T-representable — storing
-  // T halves the buffer bandwidth with bit-identical reads.
-  using ReconT = T;
-  PooledScratch<ReconT> recon_scratch(g.num_elements());
-  ReconT* const recon = recon_scratch.data();
+  // Decoding reconstructs straight into the output: the walker only reads
+  // elements it has already written, and each holds exactly the T value
+  // compress kept in its own reconstruction buffer.
+  T* const recon = arr.data();
 
   // All boundary stencils precomputed once; rows index by depth signature.
   const Cache stencils(g);
@@ -724,26 +648,17 @@ Field decompress_impl(const BlobHeader& header, const Q& quant,
         g, blk, stencils, reg, rc, recon,
         [&](std::size_t lin, double pred_v) {
           const std::uint32_t code = codes[code_idx++];
-          T out;
-          if (code == 0) {
-            out = unpred.read_pod<T>();
-          } else {
-            out = static_cast<T>(quant.recover(pred_v, code));
-          }
-          recon[lin] = out;
-          arr[lin] = out;
-          return static_cast<double>(out);
+          recon[lin] = code == 0 ? unpred.read_pod<T>()
+                                 : static_cast<T>(quant.recover(pred_v, code));
         },
-        // Regression rows: stride-1 vectorized recovery into recon, then
-        // overwrite the code-0 slots from the exact-value stream in
-        // canonical order and mirror the row into the output array.
+        // Regression rows: stride-1 vectorized recovery, then overwrite
+        // the code-0 slots from the exact-value stream in canonical order.
         [&](std::size_t base, double row0, double s3, std::size_t n) {
           const std::uint32_t* cs = codes.data() + code_idx;
           T* out = recon + base;
           quant.template recover_row<T>(cs, n, row0, s3, out);
           for (std::size_t k = 0; k < n; ++k)
             if (cs[k] == 0) out[k] = unpred.read_pod<T>();
-          for (std::size_t k = 0; k < n; ++k) arr[base + k] = out[k];
           code_idx += n;
         });
   }

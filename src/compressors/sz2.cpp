@@ -103,7 +103,6 @@ Field Sz2Compressor::decompress(std::span<const std::byte> blob,
   auto codes = decode_code_stream(r);
 
   // Parallel per-slab reconstruction.
-  std::vector<Field> slab_fields(nslabs);
   std::vector<std::size_t> code_offsets(nslabs, 0);
   {
     std::size_t off = 0;
@@ -113,7 +112,7 @@ Field Sz2Compressor::decompress(std::span<const std::byte> blob,
     }
     EBLCIO_CHECK_STREAM(off == codes.size(), "SZ2: code stream size mismatch");
   }
-  parallel_for(nslabs, std::max(threads, 1), [&](std::size_t i) {
+  const auto decode_slab = [&](std::size_t i) {
     BlobHeader slab_header = header;
     slab_header.dims[0] =
         slab_rows(header.dims[0], nslabs, static_cast<int>(i));
@@ -121,11 +120,16 @@ Field Sz2Compressor::decompress(std::span<const std::byte> blob,
     ByteReader unpred(metas[i].unpred);
     std::span<const std::uint32_t> slab_codes(
         codes.data() + code_offsets[i], metas[i].ncodes);
-    slab_fields[i] = block_decompress(
-        slab_header, BlockPredictor::kLorenzoRegression,
-        QuantizerId::kLinearRecip, 0.0, slab_codes, metas[i].mode_bits,
-        coeffs, unpred);
-  });
+    return block_decompress(slab_header, BlockPredictor::kLorenzoRegression,
+                            QuantizerId::kLinearRecip, 0.0, slab_codes,
+                            metas[i].mode_bits, coeffs, unpred);
+  };
+  // A single slab is the whole field: return it instead of copying it
+  // through merge_slabs (the mirror of compress's single-slab path).
+  if (nslabs == 1) return decode_slab(0);
+  std::vector<Field> slab_fields(nslabs);
+  parallel_for(nslabs, std::max(threads, 1),
+               [&](std::size_t i) { slab_fields[i] = decode_slab(i); });
   return merge_slabs(slab_fields, header.dims, "SZ2");
 }
 

@@ -418,7 +418,6 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
   // timeline solver's consume column.
   std::vector<double> consume_s(nslabs, 0.0);
   double decompress_j = 0.0;
-  TaskGroup producer;
 
   if (stream.use_transport) {
     // Producer: stages each chunk's sector fetches through the transport
@@ -426,6 +425,9 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
     // over; the drainer ships sectors while this thread decompresses.
     BoundedChannel<PrefetchedSlab> handles(
         static_cast<std::size_t>(stream.queue_depth));
+    // Declared after the channel: if the consumer throws, the group's
+    // destructor waits out the producer before the channel is destroyed.
+    TaskGroup producer;
     producer.run([&] {
       ChannelCloser<PrefetchedSlab> closer{&handles};
       for (std::size_t i = 0; i < nslabs; ++i)
@@ -461,6 +463,9 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
     // the channel when queue_depth fetched slabs await the decompressor.
     BoundedChannel<ProducedSlab> channel(
         static_cast<std::size_t>(stream.queue_depth));
+    // Declared after the channel: if the consumer throws, the group's
+    // destructor waits out the producer before the channel is destroyed.
+    TaskGroup producer;
     producer.run([&] {
       ChannelCloser<ProducedSlab> closer{&channel};
       for (std::size_t i = 0; i < nslabs; ++i) {
@@ -620,7 +625,6 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
   std::vector<double> consume_s(nzones, 0.0);
   std::size_t bytes_fetched = 0;
   double decompress_j = 0.0;
-  TaskGroup producer;
 
   // Consumer step shared by both paths: decodes one covering zone,
   // validates it against the index, and scatters its intersection with the
@@ -652,6 +656,9 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
     // order) while the consumer decodes the previous zone.
     BoundedChannel<PrefetchedSlab> handles(
         static_cast<std::size_t>(stream.queue_depth));
+    // Declared after the channel: if the consumer throws, the group's
+    // destructor waits out the producer before the channel is destroyed.
+    TaskGroup producer;
     producer.run([&] {
       ChannelCloser<PrefetchedSlab> closer{&handles};
       for (std::size_t i = 0; i < nzones; ++i)
@@ -680,6 +687,9 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
     // covering order) while the consumer decodes the previous zone.
     BoundedChannel<ProducedSlab> channel(
         static_cast<std::size_t>(stream.queue_depth));
+    // Declared after the channel: if the consumer throws, the group's
+    // destructor waits out the producer before the channel is destroyed.
+    TaskGroup producer;
     producer.run([&] {
       ChannelCloser<ProducedSlab> closer{&channel};
       for (std::size_t i = 0; i < nzones; ++i) {

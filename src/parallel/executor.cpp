@@ -422,12 +422,14 @@ ExecutorStats Executor::stats() const {
 // --- TaskGroup -------------------------------------------------------------
 
 TaskGroup::~TaskGroup() {
-  if (pending_.load() > 0) {
-    try {
-      wait();
-    } catch (...) {
-      // Destructor must not throw; call wait() explicitly to observe errors.
-    }
+  // Always go through wait(), which ends by locking mu_: a worker's
+  // finish() drops pending_ to 0 while still holding mu_, so a destructor
+  // that saw 0 lock-free could destroy mu_/cv_ under that worker's unlock
+  // and notify (the unwinding path of a consumer that never called wait()).
+  try {
+    wait();
+  } catch (...) {
+    // Destructor must not throw; call wait() explicitly to observe errors.
   }
 }
 
@@ -462,9 +464,9 @@ void TaskGroup::wait() {
 }
 
 void TaskGroup::finish(std::exception_ptr err) {
-  // One critical section, notify included: the waiter may observe
-  // pending_ == 0 lock-free and destroy the group the moment we release
-  // mu_, so no member may be touched after the unlock.
+  // One critical section, notify included: wait() — which the destructor
+  // always runs — takes mu_ after it observes pending_ == 0, so the group
+  // outlives this unlock, and no member may be touched after it.
   std::lock_guard<std::mutex> lock(mu_);
   if (err && !error_) error_ = err;
   pending_.fetch_sub(1);

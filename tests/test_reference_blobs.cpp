@@ -1,5 +1,6 @@
 // Seed reference blobs: 17 deterministic compression cases whose encoded
-// blob AND decoded reconstruction are pinned by FNV-1a hash.
+// blob AND decoded reconstruction are pinned by FNV-1a hash, plus 15
+// block-engine cases (kBlockPinned) pinned the same way.
 //
 // The wire formats of every codec in the library are frozen: kernel
 // optimizations (table-driven Huffman, multi-symbol LUT packing,
@@ -14,8 +15,11 @@
 // — so the cases hash identically across hosts and libm versions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "codec/huffman.h"
@@ -94,8 +98,39 @@ constexpr PinnedCase kPinned[] = {
     {"szx_3d_f32", 0xfdae947bbd03bc52ULL, 0xb9f57fec561e5609ULL},
 };
 
+// Block-engine decode pins: every block-engine predictor order and
+// quantizer family, ragged 1D-4D shapes (no dimension a multiple of its
+// block edge), f32 and f64, with planted outliers that force code 0 at a
+// block start, at a row start and mid-row (inside a regression row for the
+// regression predictor). The SZ2 cases above only reach the decoder's
+// kLorenzoRegression + linear-recip path on smooth data; these pin what the
+// Lorenzo walker reconstructs on every other path. Captured while the
+// walker still split each row into a prefix pass and a carried suffix, so
+// they also pin that the fused per-element walk which replaced it decodes
+// the same bytes. The log-quantizer cases also depend on libm's
+// log1p/expm1.
+constexpr PinnedCase kBlockPinned[] = {
+    {"blk_l1recip_1d_f32", 0x13489c12c4c1a631ULL, 0xdd1fa4d996799cc1ULL},
+    {"blk_l1recip_2d_f64", 0xec9cce0bc65334d1ULL, 0xc283678b3a41ca40ULL},
+    {"blk_l1recip_3d_f32", 0x3687be3865d0f93eULL, 0x71690ca0e24da091ULL},
+    {"blk_l1recip_4d_f64", 0xf16f65101eec5530ULL, 0x3eea03d188907ebaULL},
+    {"blk_l2lin_1d_f64", 0x7591cdcbcf5e6f52ULL, 0x697c58b644f224efULL},
+    {"blk_l2lin_2d_f32", 0xc2320d57d6ed0f20ULL, 0xa0e8fcab60097e9eULL},
+    {"blk_l2lin_3d_f64", 0x512b92d4175902ffULL, 0x1c6912bdb498d5b3ULL},
+    {"blk_l2lin_4d_f32", 0xded83ae6a41f78e6ULL, 0xc2ff696751a94dbdULL},
+    {"blk_reglin_2d_f64", 0x73698602e5b163dbULL, 0x986e17c51123e0b6ULL},
+    {"blk_reglin_3d_f32", 0x596cc286547c1a0aULL, 0xeb88e6896f666fc4ULL},
+    {"blk_reglin_4d_f64", 0xd0d8259c5b3affdeULL, 0xed0573bc4f04dbc6ULL},
+    {"blk_l1log_2d_f32", 0x305b964e4201c703ULL, 0x554159ac79854e96ULL},
+    {"blk_l1log_3d_f64", 0x0c391a6a1d77ffe5ULL, 0xb52371eff2ef43a5ULL},
+    {"blk_l1recip_3d_f32_t3", 0xddeddc3009b7c383ULL, 0x4303201d511e5e36ULL},
+    {"blk_sz2_3d_f64", 0x61ac483ebecad8adULL, 0x2f344af60dbb95f4ULL},
+};
+
 const PinnedCase& pinned(const char* name) {
   for (const auto& c : kPinned)
+    if (std::string_view(c.name) == name) return c;
+  for (const auto& c : kBlockPinned)
     if (std::string_view(c.name) == name) return c;
   ADD_FAILURE() << "no pinned case named " << name;
   static PinnedCase none{"", 0, 0};
@@ -320,6 +355,151 @@ TEST(ReferenceBlobs, ComposedInterpEquivalence) {
   check_interp_equivalence("sz3_1d_f32", {4096});
   check_interp_equivalence("sz3_2d_f32", {96, 96});
   check_interp_equivalence("sz3_3d_f32", {32, 32, 32});
+}
+
+// --- Block-engine decode pins ----------------------------------------------
+
+// Linear index of `coord` in a row-major field shaped `dims`.
+std::size_t linear_index(const std::vector<std::size_t>& dims,
+                         const std::vector<std::size_t>& coord) {
+  std::size_t lin = 0;
+  for (std::size_t d = 0; d < dims.size(); ++d) lin = lin * dims[d] + coord[d];
+  return lin;
+}
+
+// Elements the block engine must mark unpredictable: the origin of the
+// second block along every dimension, the start of that block's second row
+// and the middle of its first row. 1D has one row per block, so its "row
+// start" is the third block's origin.
+std::vector<std::size_t> outlier_sites(const std::vector<std::size_t>& dims) {
+  static constexpr std::size_t kEdge[] = {256, 16, 6, 6};
+  const std::size_t edge = kEdge[dims.size() - 1];
+  std::vector<std::size_t> origin(dims.size(), edge);
+  std::vector<std::size_t> row_start = origin;
+  std::vector<std::size_t> mid_row = origin;
+  mid_row.back() += edge / 2;
+  if (dims.size() == 1)
+    row_start[0] = 2 * edge;
+  else
+    row_start[dims.size() - 2] += 1;
+  return {linear_index(dims, origin), linear_index(dims, row_start),
+          linear_index(dims, mid_row)};
+}
+
+// Far outside the quantizer's reach at the test's absolute bound, and
+// exactly representable in f32, so the unpred stream holds it verbatim.
+constexpr double kSpike = 4096.5;
+
+template <typename T>
+Field make_outlier_field(const std::vector<std::size_t>& dims,
+                         const std::vector<std::size_t>& sites) {
+  Field f = make_field<T>(dims, 0xb10cULL);
+  auto& arr = f.as<T>();
+  double spike = kSpike;
+  for (std::size_t lin : sites) {
+    arr[lin] = static_cast<T>(spike);
+    spike = -spike;
+  }
+  return f;
+}
+
+// How many planted spikes the encoding stored as unpredictable (code 0)
+// values. Codes are in block order, not linear order, so the exact-value
+// stream is the direct witness.
+template <typename T>
+std::size_t unpredictable_spikes(const Bytes& unpred) {
+  std::vector<T> vals(unpred.size() / sizeof(T));
+  std::memcpy(vals.data(), unpred.data(), vals.size() * sizeof(T));
+  return static_cast<std::size_t>(
+      std::count_if(vals.begin(), vals.end(), [](T v) {
+        return std::fabs(static_cast<double>(v)) == kSpike;
+      }));
+}
+
+struct BlockCase {
+  const char* name;
+  const char* codec;
+  BlockPredictor predictor;
+  QuantizerId quantizer;
+  DType dtype;
+  std::vector<std::size_t> dims;
+  int threads;
+};
+
+void check_block_case(const BlockCase& c) {
+  SCOPED_TRACE(c.name);
+  const auto sites = outlier_sites(c.dims);
+  const Field f = c.dtype == DType::kFloat32
+                      ? make_outlier_field<float>(c.dims, sites)
+                      : make_outlier_field<double>(c.dims, sites);
+  CompressOptions opt;
+  opt.mode = BoundMode::kAbsolute;
+  opt.error_bound = 1e-3;
+  opt.threads = c.threads;
+
+  // The planted spikes really are unpredictable (code 0) in the one-slab
+  // block encoding; the log quantizer's parameter is the field's max |x|,
+  // as the composed codec derives it.
+  const auto range = f.value_range();
+  const double quant_param =
+      c.quantizer == QuantizerId::kLog
+          ? std::max(std::fabs(range.min), std::fabs(range.max))
+          : 0.0;
+  const BlockEncoding enc = block_compress(f, opt.error_bound, c.predictor,
+                                           c.quantizer, quant_param);
+  EXPECT_EQ(c.dtype == DType::kFloat32
+                ? unpredictable_spikes<float>(enc.unpred)
+                : unpredictable_spikes<double>(enc.unpred),
+            sites.size());
+
+  Compressor& comp = compressor(c.codec);
+  const Bytes blob = comp.compress(f, opt);
+  const Field back = comp.decompress(blob, c.threads);
+  ASSERT_EQ(back.shape(), f.shape());
+  check_case(c.name, fnv1a(blob), fnv1a(back.bytes()));
+}
+
+TEST(ReferenceBlobs, BlockEngineDecode) {
+  using BP = BlockPredictor;
+  using Q = QuantizerId;
+  constexpr auto f32 = DType::kFloat32;
+  constexpr auto f64 = DType::kFloat64;
+  const char* l1recip = "composed:lorenzo1+linear-recip+huffman-lz";
+  const char* l2lin = "composed:lorenzo2+linear+huffman-lz";
+  const char* reglin = "composed:regression+linear+huffman-lz";
+  const char* l1log = "composed:lorenzo1+log+huffman-lz";
+  const BlockCase cases[] = {
+      {"blk_l1recip_1d_f32", l1recip, BP::kLorenzo1, Q::kLinearRecip, f32,
+       {1000}, 1},
+      {"blk_l1recip_2d_f64", l1recip, BP::kLorenzo1, Q::kLinearRecip, f64,
+       {37, 53}, 1},
+      {"blk_l1recip_3d_f32", l1recip, BP::kLorenzo1, Q::kLinearRecip, f32,
+       {13, 17, 22}, 1},
+      {"blk_l1recip_4d_f64", l1recip, BP::kLorenzo1, Q::kLinearRecip, f64,
+       {7, 9, 8, 11}, 1},
+      {"blk_l2lin_1d_f64", l2lin, BP::kLorenzo2, Q::kLinear, f64, {1000}, 1},
+      {"blk_l2lin_2d_f32", l2lin, BP::kLorenzo2, Q::kLinear, f32, {37, 53},
+       1},
+      {"blk_l2lin_3d_f64", l2lin, BP::kLorenzo2, Q::kLinear, f64,
+       {13, 17, 22}, 1},
+      {"blk_l2lin_4d_f32", l2lin, BP::kLorenzo2, Q::kLinear, f32,
+       {7, 9, 8, 11}, 1},
+      {"blk_reglin_2d_f64", reglin, BP::kRegression, Q::kLinear, f64,
+       {37, 53}, 1},
+      {"blk_reglin_3d_f32", reglin, BP::kRegression, Q::kLinear, f32,
+       {13, 17, 22}, 1},
+      {"blk_reglin_4d_f64", reglin, BP::kRegression, Q::kLinear, f64,
+       {7, 9, 8, 11}, 1},
+      {"blk_l1log_2d_f32", l1log, BP::kLorenzo1, Q::kLog, f32, {37, 53}, 1},
+      {"blk_l1log_3d_f64", l1log, BP::kLorenzo1, Q::kLog, f64, {13, 17, 22},
+       1},
+      // Slab-chunked layout: three slabs, each its own block walk.
+      {"blk_l1recip_3d_f32_t3", l1recip, BP::kLorenzo1, Q::kLinearRecip, f32,
+       {13, 17, 22}, 3},
+      {"blk_sz2_3d_f64", "SZ2", BP::kLorenzoRegression, Q::kLinearRecip, f64,
+       {13, 17, 22}, 1},
+  };
+  for (const auto& c : cases) check_block_case(c);
 }
 
 }  // namespace

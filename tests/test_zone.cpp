@@ -448,6 +448,29 @@ TEST_F(ZoneRobustness, CorruptZoneBlobFailsWithoutPartialField) {
                Error);
 }
 
+TEST_F(ZoneRobustness, CorruptZoneBlobErrorPathRepeats) {
+  // The throwing decode, looped: each throw unwinds the pipeline's task
+  // groups while pool workers may still be finishing sibling zones, so
+  // every pass exercises group teardown racing a worker's last finish()
+  // (a ThreadSanitizer build reports any unsynchronized teardown here).
+  auto reader = io_tool("HDF5").open_chunked_reader(pfs_, path_);
+  const auto extent = reader.index().chunks[0];
+  corrupt([&](Bytes& raw) {
+    for (std::size_t i = 0; i < extent.size; ++i)
+      raw[static_cast<std::size_t>(extent.offset) + i] ^= std::byte{0xff};
+  });
+  for (int pass = 0; pass < 40; ++pass) {
+    SCOPED_TRACE(pass);
+    EXPECT_THROW((void)run_streamed_read_region(pfs_, path_, region_, config_),
+                 Error);
+  }
+  // The failures leave nothing behind: the intact zones still decode.
+  const Region other_zones{{12, 0, 0}, {6, 24, 24}};
+  const auto rec = run_streamed_read_region(pfs_, path_, other_zones, config_);
+  EXPECT_TRUE(bytes_equal(
+      rec.field, read_region_reference(pfs_, path_, other_zones, "HDF5")));
+}
+
 TEST_F(ZoneRobustness, OutOfBoundsRegionIsInvalidArgument) {
   EXPECT_THROW(run_streamed_read_region(pfs_, path_, {{0, 0, 0}, {25, 24, 24}},
                                         config_),
