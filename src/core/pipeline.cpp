@@ -100,16 +100,20 @@ WriteRecord run_compress_write(const Field& field,
 
 namespace {
 
-struct ProducedSlab {
-  std::size_t index = 0;
+// One chunk crossing a runner's producer/consumer channel: its ordinal in
+// the run and either its bytes (a compressed slab, or a blocking fetch with
+// what it cost) or the transport message handle the consumer awaits.
+struct ChunkItem {
+  std::size_t ordinal = 0;
+  std::size_t handle = 0;
   Bytes blob;
+  IoCost cost;
 };
 
 // Closes the channel on every exit path so neither stage can wedge the
 // other when one of them throws (a blocked push/pop returns once closed).
-template <typename T>
 struct ChannelCloser {
-  BoundedChannel<T>* channel;
+  BoundedChannel<ChunkItem>* channel;
   ~ChannelCloser() { channel->close(); }
 };
 
@@ -128,12 +132,6 @@ int self_inclusive_clients(const PfsSimulator& pfs) {
                   pfs.concurrent_writers() + pfs.concurrent_readers() + 1);
 }
 
-// One handle of a transported prefetch: slab ordinal + transport message.
-struct PrefetchedSlab {
-  std::size_t index = 0;
-  std::size_t handle = 0;
-};
-
 void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
                     std::size_t sectors, std::size_t credit_stalls,
                     double credit_stall_s, double mean_inflight,
@@ -146,22 +144,6 @@ void fill_telemetry(TransportTelemetry& t, const TransportConfig& config,
   t.credit_stall_s = credit_stall_s;
   t.mean_inflight = mean_inflight;
   t.peak_inflight = peak_inflight;
-}
-
-// Checks a decoded zone field against the container's zone index entry
-// before any of its bytes are assembled: dims must match the dataset with
-// the extent's row count, so a swapped or forged blob fails cleanly.
-void check_zone_field(const Field& zone, const ChunkIndex& index,
-                      std::size_t zi, const std::string& path) {
-  const auto& dims = index.meta.dims;
-  const Shape& s = zone.shape();
-  EBLCIO_CHECK_STREAM(
-      s.ndims() == static_cast<int>(dims.size()) &&
-          s.dim(0) == static_cast<std::size_t>(index.zones[zi].rows),
-      "zone blob does not match its index extent: " + path);
-  for (int d = 1; d < s.ndims(); ++d)
-    EBLCIO_CHECK_STREAM(s.dim(d) == dims[static_cast<std::size_t>(d)],
-                        "zone blob does not match the dataset dims: " + path);
 }
 
 }  // namespace
@@ -204,7 +186,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   rec.slab_write_s.resize(nslabs);
 
   PowercapMonitor monitor(cpu);  // thread-safe: both stages record into it
-  BoundedChannel<ProducedSlab> channel(
+  BoundedChannel<ChunkItem> channel(
       static_cast<std::size_t>(stream.queue_depth));
 
   WallTimer wall;
@@ -218,7 +200,7 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     // The channel must close even when a slab fails to compress, or the
     // consumer would block in pop() forever and the exception (captured
     // by the group) would never surface through producer.wait().
-    ChannelCloser<ProducedSlab> closer{&channel};
+    ChannelCloser closer{&channel};
     for (std::size_t i = 0; i < nslabs; ++i) {
       WallTimer t;
       Bytes blob = comp.compress(slabs[i], slab_opt);
@@ -227,24 +209,24 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                                                   config.threads);
       rec.slab_compress_s[i] = reading.seconds;
       compress_j += reading.joules;
-      channel.push({i, std::move(blob)});
+      channel.push({i, 0, std::move(blob), {}});
     }
   });
 
   // Records one chunk-write IoCost: prep is container serialization work
   // (compute at one core), transfer is PFS time.
-  const auto charge_io = [&](const char* prep_label, const char* io_label,
-                             const IoCost& cost) {
-    const auto prep = monitor.record_compute(prep_label, cost.prep_seconds, 1);
+  const auto charge_io = [&](const char* io_label, const IoCost& cost) {
+    const auto prep =
+        monitor.record_compute("stream-write-prep", cost.prep_seconds, 1);
     const auto io = monitor.record_io(io_label, cost.transfer_seconds);
     return std::pair<double, double>(prep.seconds + io.seconds,
                                      prep.joules + io.joules);
   };
 
   // Consumer (this thread): streams chunks into the IoTool container, one
-  // append_chunk per slab, while the producer compresses ahead. If it
+  // append_zone per slab, while the producer compresses ahead. If it
   // throws, the closer unblocks the producer so the TaskGroup can unwind.
-  ChannelCloser<ProducedSlab> closer{&channel};
+  ChannelCloser closer{&channel};
   ChunkedDatasetMeta meta;
   meta.name = field.name();
   meta.dtype_code = 2;  // opaque compressed chunks
@@ -253,41 +235,34 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   meta.attributes["codec"] = rec.codec;
   auto out = tool.open_zoned(pfs, rec.path, meta);
   if (stream.use_transport) out.enable_transport(stream.transport);
-  auto [open_s, open_j] =
-      charge_io("stream-write-prep", "stream-write-open", out.open_cost());
+  auto [open_s, open_j] = charge_io("stream-write-open", out.open_cost());
   double write_j = open_j;
   // Per-slab container prep (compute) and payload size, kept for the
   // transport timeline solver and the blocking-path reconstruction.
   std::vector<double> stage_prep_s(nslabs, 0.0);
   std::vector<std::size_t> chunk_bytes(nslabs, 0);
-  while (auto produced = channel.pop()) {
-    chunk_bytes[produced->index] = produced->blob.size();
-    const IoCost w = out.append_zone(produced->blob, zones[produced->index],
-                                     self_inclusive_clients(pfs));
-    if (stream.use_transport) {
-      // Transport mode: the append only *staged* sectors (transfer is 0);
-      // the wire cost lands in transport()->records() and is charged after
-      // the drain, when every sector's contended price is known.
-      const auto prep =
-          monitor.record_compute("stream-write-prep", w.prep_seconds, 1);
-      stage_prep_s[produced->index] = prep.seconds;
-      rec.slab_write_s[produced->index] = prep.seconds;
-      write_j += prep.joules;
-    } else {
-      const auto [seconds, joules] =
-          charge_io("stream-write-prep", "stream-write", w);
-      rec.slab_write_s[produced->index] = seconds;
-      write_j += joules;
-    }
+  while (auto item = channel.pop()) {
+    const std::size_t i = item->ordinal;
+    chunk_bytes[i] = item->blob.size();
+    // With transport the append only *stages* sectors (transfer is 0): the
+    // wire cost lands in transport()->records() and is charged after the
+    // drain, when every sector's contended price is known.
+    const IoCost w =
+        out.append_zone(item->blob, zones[i], self_inclusive_clients(pfs));
+    const auto prep =
+        monitor.record_compute("stream-write-prep", w.prep_seconds, 1);
+    const auto io = monitor.record_io("stream-write", w.transfer_seconds);
+    stage_prep_s[i] = prep.seconds;
+    rec.slab_write_s[i] = prep.seconds + io.seconds;
+    write_j += prep.joules + io.joules;
     // The blob has landed in the container; recycle its allocation for the
     // next slab's compress/staging buffers.
-    BufferPool::global().release(std::move(produced->blob));
+    BufferPool::global().release(std::move(item->blob));
   }
   // close() drains the transport rings first, so every sector has retired
   // (and priced itself) before the footer commits.
   const IoCost close_cost = out.close(self_inclusive_clients(pfs));
-  const auto [close_s, close_j] =
-      charge_io("stream-write-prep", "stream-write-close", close_cost);
+  const auto [close_s, close_j] = charge_io("stream-write-close", close_cost);
   write_j += close_j;
   producer.wait();
 
@@ -300,27 +275,13 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
   for (std::size_t i = 0; i < nslabs; ++i)
     serial_compress += rec.slab_compress_s[i];
 
-  // Runs the PR-8 blocking pipeline recurrence — the producer finishes
-  // slab i after slab i-1 and after a channel slot frees (the writer
-  // popped slab i-1-depth); the writer starts slab i when both it and the
-  // slab are ready — over the given per-slab write costs, returning the
-  // last write's finish time.
-  const auto blocking_recurrence = [&](const std::vector<double>& write_s) {
-    std::vector<double> fc(nslabs, 0.0), fw(nslabs, 0.0);
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      double start = i > 0 ? fc[i - 1] : 0.0;
-      if (i >= depth + 2) start = std::max(start, fw[i - 2 - depth]);
-      else if (i == depth + 1) start = std::max(start, open_s);
-      fc[i] = start + rec.slab_compress_s[i];
-      const double writer_free = i > 0 ? fw[i - 1] : open_s;
-      fw[i] = std::max(fc[i], writer_free) + write_s[i];
-    }
-    return fw[nslabs - 1];
-  };
-
-  if (stream.use_transport) {
-    SectorWriter& transport = *out.transport();
-    const auto& sectors = transport.records();
+  // The blocking schedule's per-slab write costs: the writes as charged
+  // when the blocking path ran.
+  std::vector<double> blocking_write_s = rec.slab_write_s;
+  const SectorWriter* transport = out.transport();
+  WriteTimeline timeline;
+  if (transport) {
+    const auto& sectors = transport->records();
     // Charge the wire once, now that every sector has its contended price;
     // fold each message's wire seconds into its slab_write_s column.
     double wire_total = 0.0;
@@ -335,22 +296,19 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
     for (std::size_t i = 0; i < nslabs; ++i)
       rec.slab_write_s[i] += slab_wire_s[i];
 
-    const WriteTimeline timeline =
-        solve_write_timeline(stream.transport, sectors, rec.slab_compress_s,
-                             stage_prep_s, depth, open_s);
-    rec.streamed_total_s = timeline.makespan_s + close_s;
+    timeline = solve_write_timeline(stream.transport, sectors,
+                                    rec.slab_compress_s, stage_prep_s, depth,
+                                    open_s);
     fill_telemetry(rec.transport, stream.transport, sectors.size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
+                   transport->stats().credit_stalls, timeline.credit_stall_s,
                    timeline.mean_inflight, timeline.peak_inflight);
 
-    // Blocking-path reconstruction: what the identical chunk sequence
-    // would have cost through PR-8's one-append-per-chunk path — the same
-    // prep and transfer bytes, but per-chunk stripe RPCs and no overlap
-    // between staging and the wire.
+    // What the identical chunk sequence would have cost through the
+    // blocking one-append-per-chunk path: the same prep and transfer
+    // bytes, but per-chunk stripe RPCs and no overlap between staging and
+    // the wire.
     const PfsConfig& pc = pfs.config();
-    std::vector<double> blocking_write_s(nslabs, 0.0);
     std::size_t offset = out.open_cost().bytes_written;
-    double serial_write = 0.0;
     for (std::size_t i = 0; i < nslabs; ++i) {
       const std::size_t len = chunk_bytes[i];
       const std::size_t stripes =
@@ -361,32 +319,108 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                             static_cast<double>(stripes) * pc.rpc_latency_s +
                             slab_xfer_s[i];
       offset += len;
-      serial_write += blocking_write_s[i];
     }
-    rec.blocking_total_s = blocking_recurrence(blocking_write_s) + close_s;
-    rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
-  } else {
-    double serial_write = 0.0;
-    for (std::size_t i = 0; i < nslabs; ++i)
-      serial_write += rec.slab_write_s[i];
-    rec.streamed_total_s = blocking_recurrence(rec.slab_write_s) + close_s;
-    rec.blocking_total_s = rec.streamed_total_s;
-    // Serial reference: the identical container writes, scheduled after all
-    // compression instead of overlapped with it.
-    rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
   }
+  double serial_write = 0.0;
+  for (std::size_t i = 0; i < nslabs; ++i) serial_write += blocking_write_s[i];
+  rec.blocking_total_s = solve_blocking_write(rec.slab_compress_s,
+                                              blocking_write_s, depth, open_s) +
+                         close_s;
+  rec.streamed_total_s =
+      transport ? timeline.makespan_s + close_s : rec.blocking_total_s;
+  // Serial reference: the identical container writes, scheduled after all
+  // compression instead of overlapped with it.
+  rec.serial_total_s = serial_compress + open_s + serial_write + close_s;
   rec.write_j = write_j;
   return rec;
 }
 
-StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
-                                   const PipelineConfig& config,
-                                   const StreamConfig& stream) {
+// --- Streamed reads: the restart is the region read over the full box ------
+
+namespace {
+
+// The chunks a read fetches, in order, and the box it assembles (`box`):
+// the zones covering `query`, or every chunk over the full dataset box
+// when there is no query.
+std::vector<std::size_t> plan_read(const IoTool::ChunkReader& reader,
+                                   const Region* query, Region& box,
+                                   const std::string& path) {
+  const ChunkIndex& index = reader.index();
+  if (query) {
+    EBLCIO_CHECK_STREAM(index.zoned(),
+                        "container has no zone index (written before "
+                        "zoning, or unzoned writer): " + path);
+    // Resolved from the footer index alone; everything after this touches
+    // only the covering zones.
+    std::vector<std::size_t> covering = reader.covering(*query);
+    EBLCIO_CHECK_STREAM(!covering.empty(),
+                        "region resolves to no covering zones: " + path);
+    box = *query;
+    return covering;
+  }
+  const auto& dims = index.meta.dims;
+  EBLCIO_CHECK_STREAM(!index.chunks.empty() && !dims.empty(),
+                      "chunked container holds no chunks: " + path);
+  box = {std::vector<std::size_t>(dims.size(), 0), dims};
+  std::vector<std::size_t> all(index.chunks.size());
+  for (std::size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return all;
+}
+
+// Checks decoded chunk `c` against the container's index before any of its
+// bytes land, then scatters its intersection with `box` into `out`. Rank
+// and trailing dims must match the dataset. A zoned chunk must hold exactly
+// its extent's rows, so a swapped or forged extent fails cleanly. A
+// version-1 container has no zone rows: its chunks arrive in order, land
+// at the running row count `next_row`, and must tile dims[0].
+void place_zone(const Field& zone, const ChunkIndex& index, std::size_t c,
+                const Region& box, std::size_t& next_row, Field& out,
+                const std::string& path) {
+  const auto& dims = index.meta.dims;
+  const Shape& s = zone.shape();
+  EBLCIO_CHECK_STREAM(s.ndims() == static_cast<int>(dims.size()),
+                      "zone blob does not match the dataset rank: " + path);
+  for (int d = 1; d < s.ndims(); ++d)
+    EBLCIO_CHECK_STREAM(s.dim(d) == dims[static_cast<std::size_t>(d)],
+                        "zone blob does not match the dataset dims: " + path);
+  const std::size_t rows = s.dim(0);
+  std::size_t row_start = next_row;
+  if (index.zoned()) {
+    row_start = static_cast<std::size_t>(index.zones[c].row_start);
+    EBLCIO_CHECK_STREAM(rows == index.zones[c].rows,
+                        "zone blob does not match its index extent: " + path);
+  } else {
+    const bool last = c + 1 == index.chunks.size();
+    EBLCIO_CHECK_STREAM(
+        last ? rows == dims[0] - next_row : rows < dims[0] - next_row,
+        "chunks do not tile the dataset rows: " + path);
+    next_row += rows;
+  }
+  if (out.ndims() == 0) {
+    // The first zone reveals the dtype (the container's dtype_code is the
+    // opaque-compressed tag, not the payload dtype).
+    const Shape shape{std::span<const std::size_t>(box.shape)};
+    out = zone.dtype() == DType::kFloat32
+              ? Field(index.meta.name, NdArray<float>(shape))
+              : Field(index.meta.name, NdArray<double>(shape));
+  }
+  EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
+                      "zone blobs disagree on dtype: " + path);
+  scatter_zone_into_region(zone, row_start, box, out);
+}
+
+// The one streamed read: a producer task fetches the planned chunks in
+// order (blocking ranged reads, or transport prefetches) while this thread
+// decodes and places chunk i-1.
+RegionReadRecord stream_read(PfsSimulator& pfs, const std::string& path,
+                             const Region* query,
+                             const PipelineConfig& config,
+                             const StreamConfig& stream) {
   EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
   const CpuModel& cpu = cpu_model(config.cpu);
   IoTool& tool = io_tool(config.io_library);
 
-  StreamReadRecord rec;
+  RegionReadRecord rec;
   rec.io_library = tool.name();
   rec.path = path;
   rec.queue_depth = stream.queue_depth;
@@ -399,11 +433,14 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
   auto reader =
       tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
   if (stream.use_transport) reader.enable_transport(stream.transport);
-  const std::size_t nslabs = reader.index().chunks.size();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
-  rec.slabs = static_cast<int>(nslabs);
-  rec.slab_fetch_s.resize(nslabs);
-  rec.slab_decompress_s.resize(nslabs);
+  const ChunkIndex& index = reader.index();
+  const std::vector<std::size_t> chunks =
+      plan_read(reader, query, rec.region, path);
+  const std::size_t n = chunks.size();
+  rec.zones_total = static_cast<int>(index.chunks.size());
+  rec.zones_decoded = static_cast<int>(n);
+  rec.zone_fetch_s.resize(n);
+  rec.zone_decompress_s.resize(n);
 
   const auto open_prep = monitor.record_compute(
       "stream-read-prep", reader.open_cost().prep_seconds, 1);
@@ -413,379 +450,129 @@ StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
   double fetch_j = open_prep.joules + open_io.joules;
 
   WallTimer wall;
-  std::vector<Field> slab_fields(nslabs);
-  // Per-slab consumer-side compute (fetch prep + decompress), the transport
+  // Per-chunk consumer-side compute (fetch prep + decode), the transport
   // timeline solver's consume column.
-  std::vector<double> consume_s(nslabs, 0.0);
+  std::vector<double> consume_s(n, 0.0);
+  std::size_t next_row = 0;
   double decompress_j = 0.0;
 
-  if (stream.use_transport) {
-    // Producer: stages each chunk's sector fetches through the transport
-    // (blocking only on channel credits) and hands the message handle
-    // over; the drainer ships sectors while this thread decompresses.
-    BoundedChannel<PrefetchedSlab> handles(
-        static_cast<std::size_t>(stream.queue_depth));
-    // Declared after the channel: if the consumer throws, the group's
-    // destructor waits out the producer before the channel is destroyed.
-    TaskGroup producer;
-    producer.run([&] {
-      ChannelCloser<PrefetchedSlab> closer{&handles};
-      for (std::size_t i = 0; i < nslabs; ++i)
-        handles.push({i, reader.prefetch_chunk(i)});
-    });
-
-    // Consumer (this thread): awaits each assembled chunk, charges its
-    // fetch, and decompresses it. A corrupt slab throws here; the closer
-    // unblocks the producer and no partial field escapes.
-    ChannelCloser<PrefetchedSlab> closer{&handles};
-    while (auto produced = handles.pop()) {
-      IoCost cost;
-      Bytes blob = reader.await_chunk(produced->handle, produced->index, &cost);
-      const auto prep =
-          monitor.record_compute("stream-fetch-prep", cost.prep_seconds, 1);
-      const auto io = monitor.record_io("stream-fetch", cost.transfer_seconds);
-      rec.slab_fetch_s[produced->index] = prep.seconds + io.seconds;
-      fetch_j += prep.joules + io.joules;
-      WallTimer t;
-      Field slab = decompress_any(blob, 1);
-      const auto reading =
-          monitor.record_compute("stream-decompress", t.elapsed_s(), 1);
-      rec.slab_decompress_s[produced->index] = reading.seconds;
-      consume_s[produced->index] = prep.seconds + reading.seconds;
-      decompress_j += reading.joules;
-      BufferPool::global().release(std::move(blob));
-      slab_fields[produced->index] = std::move(slab);
+  BoundedChannel<ChunkItem> channel(
+      static_cast<std::size_t>(stream.queue_depth));
+  // Declared after the channel: if the consumer throws, the group's
+  // destructor waits out the producer before the channel is destroyed.
+  TaskGroup producer;
+  producer.run([&] {
+    ChannelCloser closer{&channel};
+    for (std::size_t i = 0; i < n; ++i) {
+      ChunkItem item{i, 0, {}, {}};
+      if (reader.transport_enabled())
+        item.handle = reader.prefetch_chunk(chunks[i]);
+      else
+        item.blob = reader.read_chunk(chunks[i], &item.cost,
+                                      self_inclusive_clients(pfs));
+      channel.push(std::move(item));
     }
-    producer.wait();
-  } else {
-    // Producer: fetches chunk i with blocking ranged PFS reads as one
-    // executor task while the consumer decompresses chunk i-1; blocks on
-    // the channel when queue_depth fetched slabs await the decompressor.
-    BoundedChannel<ProducedSlab> channel(
-        static_cast<std::size_t>(stream.queue_depth));
-    // Declared after the channel: if the consumer throws, the group's
-    // destructor waits out the producer before the channel is destroyed.
-    TaskGroup producer;
-    producer.run([&] {
-      ChannelCloser<ProducedSlab> closer{&channel};
-      for (std::size_t i = 0; i < nslabs; ++i) {
-        IoCost cost;
-        Bytes blob = reader.read_chunk(i, &cost, self_inclusive_clients(pfs));
-        const auto prep =
-            monitor.record_compute("stream-fetch-prep", cost.prep_seconds, 1);
-        const auto io =
-            monitor.record_io("stream-fetch", cost.transfer_seconds);
-        rec.slab_fetch_s[i] = prep.seconds + io.seconds;
-        fetch_j += prep.joules + io.joules;
-        channel.push({i, std::move(blob)});
-      }
-    });
+  });
 
-    // Consumer (this thread): decompresses slabs as they arrive. A corrupt
-    // slab throws here; the closer unblocks the producer and no partial
-    // field escapes (the exception propagates out of this function).
-    ChannelCloser<ProducedSlab> closer{&channel};
-    while (auto produced = channel.pop()) {
-      WallTimer t;
-      Field slab = decompress_any(produced->blob, 1);
-      const auto reading =
-          monitor.record_compute("stream-decompress", t.elapsed_s(), 1);
-      rec.slab_decompress_s[produced->index] = reading.seconds;
-      decompress_j += reading.joules;
-      // The fetched slab is decoded; its buffer feeds the next fetch.
-      BufferPool::global().release(std::move(produced->blob));
-      slab_fields[produced->index] = std::move(slab);
-    }
-    producer.wait();
+  // Consumer (this thread): charges each chunk's fetch, decodes it, and
+  // places it. A corrupt chunk throws here; the closer unblocks the
+  // producer and no partial field escapes.
+  ChannelCloser closer{&channel};
+  while (auto item = channel.pop()) {
+    const std::size_t i = item->ordinal;
+    if (reader.transport_enabled())
+      item->blob = reader.await_chunk(item->handle, chunks[i], &item->cost);
+    const auto prep =
+        monitor.record_compute("stream-fetch-prep", item->cost.prep_seconds, 1);
+    const auto io =
+        monitor.record_io("stream-fetch", item->cost.transfer_seconds);
+    rec.zone_fetch_s[i] = prep.seconds + io.seconds;
+    fetch_j += prep.joules + io.joules;
+    rec.bytes_fetched += item->blob.size();
+    WallTimer t;
+    place_zone(decompress_any(item->blob, 1), index, chunks[i], rec.region,
+               next_row, rec.field, path);
+    const auto reading =
+        monitor.record_compute("stream-decompress", t.elapsed_s(), 1);
+    rec.zone_decompress_s[i] = reading.seconds;
+    consume_s[i] = prep.seconds + reading.seconds;
+    decompress_j += reading.joules;
+    // The fetched chunk is decoded; its buffer feeds the next fetch.
+    BufferPool::global().release(std::move(item->blob));
   }
+  producer.wait();
 
   rec.host_wall_s = wall.elapsed_s();
   rec.fetch_j = fetch_j;
   rec.decompress_j = decompress_j;
-  rec.field = merge_slabs(slab_fields, reader.index().meta.dims,
-                          reader.index().meta.name);
   rec.field_bytes = rec.field.size_bytes();
 
   const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
   double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t i = 0; i < nslabs; ++i) {
-    serial_fetch += rec.slab_fetch_s[i];
-    serial_decompress += rec.slab_decompress_s[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    serial_fetch += rec.zone_fetch_s[i];
+    serial_decompress += rec.zone_decompress_s[i];
   }
-
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
+  if (const SectorReader* transport = reader.transport()) {
     const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
+        solve_read_timeline(stream.transport, transport->records(), consume_s,
                             depth, open_s);
     rec.streamed_total_s = timeline.makespan_s;
     fill_telemetry(rec.transport, stream.transport,
-                   transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
+                   transport->records().size(),
+                   transport->stats().credit_stalls, timeline.credit_stall_s,
                    timeline.mean_inflight, timeline.peak_inflight);
   } else {
-    // Mirror of the write recurrence with the roles swapped: the fetcher
-    // finishes slab i after slab i-1 and after a channel slot frees (the
-    // decompressor popped slab i-1-depth when it finished slab i-2-depth);
-    // the first fetch waits for the index fetch at open. The decompressor
-    // starts slab i when both it and the fetched slab are ready.
-    std::vector<double> ff(nslabs, 0.0), fd(nslabs, 0.0);
-    for (std::size_t i = 0; i < nslabs; ++i) {
-      double start = i > 0 ? ff[i - 1] : open_s;
-      if (i >= depth + 2) start = std::max(start, fd[i - 2 - depth]);
-      ff[i] = start + rec.slab_fetch_s[i];
-      const double decomp_free = i > 0 ? fd[i - 1] : 0.0;
-      fd[i] = std::max(ff[i], decomp_free) + rec.slab_decompress_s[i];
-    }
-    rec.streamed_total_s = fd[nslabs - 1];
+    rec.streamed_total_s = solve_blocking_read(
+        rec.zone_fetch_s, rec.zone_decompress_s, depth, open_s);
   }
   // Serial reference: open, fetch everything, then decompress everything.
   rec.serial_total_s = open_s + serial_fetch + serial_decompress;
   return rec;
 }
 
-Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
-                         const std::string& io_library) {
-  IoTool& tool = io_tool(io_library);
-  auto reader = tool.open_chunked_reader(pfs, path);
-  const std::size_t nslabs = reader.index().chunks.size();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "chunked container holds no slabs");
-  std::vector<Field> slab_fields(nslabs);
-  for (std::size_t i = 0; i < nslabs; ++i) {
-    Bytes blob = reader.read_chunk(i);
-    slab_fields[i] = decompress_any(blob, 1);
+// The serial reference for stream_read's field: fetches, decodes and
+// places the same planned chunks in order on the calling thread.
+Field read_reference(PfsSimulator& pfs, const std::string& path,
+                     const Region* query, const std::string& io_library) {
+  auto reader = io_tool(io_library).open_chunked_reader(pfs, path);
+  Region box;
+  std::size_t next_row = 0;
+  Field out;
+  for (std::size_t c : plan_read(reader, query, box, path)) {
+    Bytes blob = reader.read_chunk(c);
+    place_zone(decompress_any(blob, 1), reader.index(), c, box, next_row, out,
+               path);
     BufferPool::global().release(std::move(blob));
   }
-  return merge_slabs(slab_fields, reader.index().meta.dims,
-                     reader.index().meta.name);
-}
-
-// --- Partial-region (zoned) reads -------------------------------------------
-
-namespace {
-
-// Allocates the region-shaped output field once the first zone reveals the
-// dtype (the container's dtype_code is the opaque-compressed tag, not the
-// payload dtype).
-Field make_region_field(const std::string& name, const Region& region,
-                        DType dtype) {
-  Shape shape{std::span<const std::size_t>(region.shape)};
-  return dtype == DType::kFloat32 ? Field(name, NdArray<float>(shape))
-                                  : Field(name, NdArray<double>(shape));
+  return out;
 }
 
 }  // namespace
+
+StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
+                                   const PipelineConfig& config,
+                                   const StreamConfig& stream) {
+  return stream_read(pfs, path, nullptr, config, stream);
+}
+
+Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
+                         const std::string& io_library) {
+  return read_reference(pfs, path, nullptr, io_library);
+}
 
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
                                           const std::string& path,
                                           const Region& region,
                                           const PipelineConfig& config,
                                           const StreamConfig& stream) {
-  EBLCIO_CHECK_ARG(stream.queue_depth >= 1, "queue depth must be positive");
-  const CpuModel& cpu = cpu_model(config.cpu);
-  IoTool& tool = io_tool(config.io_library);
-
-  RegionReadRecord rec;
-  rec.io_library = tool.name();
-  rec.path = path;
-  rec.region = region;
-  rec.queue_depth = stream.queue_depth;
-  rec.container_bytes = pfs.file_size(path);
-
-  PowercapMonitor monitor(cpu);  // thread-safe: both stages record into it
-
-  auto reader =
-      tool.open_chunked_reader(pfs, path, self_inclusive_clients(pfs));
-  if (stream.use_transport) reader.enable_transport(stream.transport);
-  const ChunkIndex& index = reader.index();
-  EBLCIO_CHECK_STREAM(index.zoned(),
-                      "container has no zone index (written before zoning, "
-                      "or unzoned writer): " + path);
-  // Resolve the query box to its covering zones from the footer index
-  // alone; everything after this touches only those zones.
-  const std::vector<std::size_t> covering = reader.covering(region);
-  EBLCIO_CHECK_STREAM(!covering.empty(),
-                      "region resolves to no covering zones: " + path);
-  const std::size_t nzones = covering.size();
-  rec.zones_total = static_cast<int>(index.zones.size());
-  rec.zones_decoded = static_cast<int>(nzones);
-  rec.zone_fetch_s.resize(nzones);
-  rec.zone_decompress_s.resize(nzones);
-
-  const auto open_prep = monitor.record_compute(
-      "region-read-prep", reader.open_cost().prep_seconds, 1);
-  const auto open_io = monitor.record_io("region-read-open",
-                                         reader.open_cost().transfer_seconds);
-  const double open_s = open_prep.seconds + open_io.seconds;
-  double fetch_j = open_prep.joules + open_io.joules;
-
-  WallTimer wall;
-  Field out;
-  bool out_ready = false;
-  std::vector<double> consume_s(nzones, 0.0);
-  std::size_t bytes_fetched = 0;
-  double decompress_j = 0.0;
-
-  // Consumer step shared by both paths: decodes one covering zone,
-  // validates it against the index, and scatters its intersection with the
-  // region into the output. Returns the dilated decode seconds. A corrupt
-  // zone throws here; no partial field escapes.
-  const auto consume_zone = [&](std::size_t i, const Bytes& blob) {
-    const std::size_t zi = covering[i];
-    WallTimer t;
-    Field zone = decompress_any(blob, 1);
-    check_zone_field(zone, index, zi, path);
-    if (!out_ready) {
-      out = make_region_field(index.meta.name, region, zone.dtype());
-      out_ready = true;
-    }
-    EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
-                        "zone blobs disagree on dtype: " + path);
-    scatter_zone_into_region(
-        zone, static_cast<std::size_t>(index.zones[zi].row_start), region,
-        out);
-    const auto reading =
-        monitor.record_compute("region-decompress", t.elapsed_s(), 1);
-    rec.zone_decompress_s[i] = reading.seconds;
-    decompress_j += reading.joules;
-    return reading.seconds;
-  };
-
-  if (stream.use_transport) {
-    // Producer: stages each covering zone's sector fetches (in covering
-    // order) while the consumer decodes the previous zone.
-    BoundedChannel<PrefetchedSlab> handles(
-        static_cast<std::size_t>(stream.queue_depth));
-    // Declared after the channel: if the consumer throws, the group's
-    // destructor waits out the producer before the channel is destroyed.
-    TaskGroup producer;
-    producer.run([&] {
-      ChannelCloser<PrefetchedSlab> closer{&handles};
-      for (std::size_t i = 0; i < nzones; ++i)
-        handles.push({i, reader.prefetch_chunk(covering[i])});
-    });
-
-    ChannelCloser<PrefetchedSlab> closer{&handles};
-    while (auto produced = handles.pop()) {
-      IoCost cost;
-      Bytes blob =
-          reader.await_chunk(produced->handle, covering[produced->index],
-                             &cost);
-      const auto prep =
-          monitor.record_compute("region-fetch-prep", cost.prep_seconds, 1);
-      const auto io = monitor.record_io("region-fetch", cost.transfer_seconds);
-      rec.zone_fetch_s[produced->index] = prep.seconds + io.seconds;
-      fetch_j += prep.joules + io.joules;
-      bytes_fetched += blob.size();
-      consume_s[produced->index] =
-          prep.seconds + consume_zone(produced->index, blob);
-      BufferPool::global().release(std::move(blob));
-    }
-    producer.wait();
-  } else {
-    // Producer: issues one blocking ranged fetch per covering zone (in
-    // covering order) while the consumer decodes the previous zone.
-    BoundedChannel<ProducedSlab> channel(
-        static_cast<std::size_t>(stream.queue_depth));
-    // Declared after the channel: if the consumer throws, the group's
-    // destructor waits out the producer before the channel is destroyed.
-    TaskGroup producer;
-    producer.run([&] {
-      ChannelCloser<ProducedSlab> closer{&channel};
-      for (std::size_t i = 0; i < nzones; ++i) {
-        IoCost cost;
-        Bytes blob = reader.read_chunk(covering[i], &cost,
-                                       self_inclusive_clients(pfs));
-        const auto prep =
-            monitor.record_compute("region-fetch-prep", cost.prep_seconds, 1);
-        const auto io =
-            monitor.record_io("region-fetch", cost.transfer_seconds);
-        rec.zone_fetch_s[i] = prep.seconds + io.seconds;
-        fetch_j += prep.joules + io.joules;
-        bytes_fetched += blob.size();
-        channel.push({i, std::move(blob)});
-      }
-    });
-
-    ChannelCloser<ProducedSlab> closer{&channel};
-    while (auto produced = channel.pop()) {
-      consume_zone(produced->index, produced->blob);
-      BufferPool::global().release(std::move(produced->blob));
-    }
-    producer.wait();
-  }
-
-  rec.host_wall_s = wall.elapsed_s();
-  rec.fetch_j = fetch_j;
-  rec.decompress_j = decompress_j;
-  rec.bytes_fetched = bytes_fetched;
-  rec.field = std::move(out);
-  rec.field_bytes = rec.field.size_bytes();
-
-  const std::size_t depth = static_cast<std::size_t>(stream.queue_depth);
-  double serial_fetch = 0.0, serial_decompress = 0.0;
-  for (std::size_t i = 0; i < nzones; ++i) {
-    serial_fetch += rec.zone_fetch_s[i];
-    serial_decompress += rec.zone_decompress_s[i];
-  }
-
-  if (stream.use_transport) {
-    SectorReader& transport = *reader.transport();
-    const ReadTimeline timeline =
-        solve_read_timeline(stream.transport, transport.records(), consume_s,
-                            depth, open_s);
-    rec.streamed_total_s = timeline.makespan_s;
-    fill_telemetry(rec.transport, stream.transport,
-                   transport.records().size(),
-                   transport.stats().credit_stalls, timeline.credit_stall_s,
-                   timeline.mean_inflight, timeline.peak_inflight);
-  } else {
-    // Same recurrence as the full read pipeline, over the covering set
-    // only.
-    std::vector<double> ff(nzones, 0.0), fd(nzones, 0.0);
-    for (std::size_t i = 0; i < nzones; ++i) {
-      double start = i > 0 ? ff[i - 1] : open_s;
-      if (i >= depth + 2) start = std::max(start, fd[i - 2 - depth]);
-      ff[i] = start + rec.zone_fetch_s[i];
-      const double decomp_free = i > 0 ? fd[i - 1] : 0.0;
-      fd[i] = std::max(ff[i], decomp_free) + rec.zone_decompress_s[i];
-    }
-    rec.streamed_total_s = fd[nzones - 1];
-  }
-  rec.serial_total_s = open_s + serial_fetch + serial_decompress;
-  return rec;
+  return stream_read(pfs, path, &region, config, stream);
 }
 
 Field read_region_reference(PfsSimulator& pfs, const std::string& path,
                             const Region& region,
                             const std::string& io_library) {
-  IoTool& tool = io_tool(io_library);
-  auto reader = tool.open_chunked_reader(pfs, path);
-  const ChunkIndex& index = reader.index();
-  EBLCIO_CHECK_STREAM(index.zoned(),
-                      "container has no zone index: " + path);
-  auto fetched = reader.read_zones(region);
-  EBLCIO_CHECK_STREAM(!fetched.empty(),
-                      "region resolves to no covering zones: " + path);
-
-  Field out;
-  bool out_ready = false;
-  for (auto& f : fetched) {
-    Field zone = decompress_any(f.blob, 1);
-    check_zone_field(zone, index, f.zone, path);
-    if (!out_ready) {
-      out = make_region_field(index.meta.name, region, zone.dtype());
-      out_ready = true;
-    }
-    EBLCIO_CHECK_STREAM(zone.dtype() == out.dtype(),
-                        "zone blobs disagree on dtype: " + path);
-    scatter_zone_into_region(
-        zone, static_cast<std::size_t>(index.zones[f.zone].row_start), region,
-        out);
-    BufferPool::global().release(std::move(f.blob));
-  }
-  return out;
+  return read_reference(pfs, path, &region, io_library);
 }
 
 }  // namespace eblcio
-

@@ -101,7 +101,7 @@ struct StreamConfig {
   TransportConfig transport;
 };
 
-// Transport columns shared by the streamed write/read/region records; all
+// Transport columns shared by the streamed write and read records; all
 // zero when the blocking path ran.
 struct TransportTelemetry {
   int channels = 0;
@@ -124,15 +124,15 @@ struct StreamWriteRecord {
   std::size_t compressed_bytes = 0;  // whole container (header+chunks+index)
   // Modeled platform times. serial_total_s charges compress-everything-
   // then-write-everything (the identical container writes, just not
-  // overlapped); streamed_total_s is the pipeline makespan from the
-  // per-slab recurrence (writer busy on slab i-1 while slab i compresses,
-  // bounded by queue_depth).
+  // overlapped); streamed_total_s is the pipeline makespan (writer busy on
+  // slab i-1 while slab i compresses, bounded by queue_depth): the
+  // transport timeline, or solve_blocking_write when the blocking path ran.
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   // Host wall clock of the real concurrent run (compress tasks genuinely
   // overlap the writer thread on the executor).
   double host_wall_s = 0.0;
-  // What the same run would have cost through the PR-8 blocking per-chunk
+  // What the same run would have cost through the blocking per-chunk
   // append path (reconstructed from the identical compress samples and
   // per-chunk stripe pricing; equals streamed_total_s when the blocking
   // path actually ran). The transport's speedup is
@@ -168,91 +168,49 @@ StreamWriteRecord run_streamed_compress_write(const Field& field,
                                               PfsSimulator& pfs,
                                               const StreamConfig& stream = {});
 
-// --- Streaming (chunked) read experiment -----------------------------------
+// --- Streamed read experiments ---------------------------------------------
 //
-// The restart-time mirror of the write pipeline: a producer task fetches
-// chunk i from the container with ranged PFS reads while this thread
-// decompresses chunk i-1, connected by the same bounded channel. Fetch of
-// slab i overlaps decompression of slab i-1, so the makespan undercuts the
-// serial fetch-everything-then-decompress-everything schedule — the
-// paper's Sec. VI-A "doubly effective" read-side benefit, measured.
+// The restart-time mirror of the write pipeline, and the serving-scale
+// query path, are one runner. A producer task fetches the chunks the read
+// needs with ranged PFS reads (or transport prefetches) while this thread
+// decodes chunk i-1, connected by the same bounded channel as the write
+// side. Fetch of chunk i overlaps decode of chunk i-1, so the makespan
+// undercuts the serial fetch-everything-then-decode-everything schedule:
+// the paper's Sec. VI-A "doubly effective" read-side benefit, measured.
+//
+// A region query fetches only the zones the footer zone index says cover
+// its box, so bytes fetched scale with the query, not with the field. The
+// restart read is the same read over the full box: every chunk. Every
+// decoded zone is checked against the index before any of its bytes land
+// in the output, so a forged or swapped extent throws CorruptStream
+// instead of writing out of bounds or out of order.
 
-struct StreamReadRecord {
+struct RegionReadRecord {
   std::string io_library;
   std::string path;
-  int slabs = 0;        // chunks found in the container index
+  Region region;          // the assembled box (the full box for a restart)
+  int zones_total = 0;    // chunks in the container's index
+  int zones_decoded = 0;  // chunks actually fetched + decoded
   int queue_depth = 0;
-  std::size_t container_bytes = 0;  // compressed container size on the PFS
-  std::size_t field_bytes = 0;      // reconstructed field size
+  std::size_t container_bytes = 0;  // whole container size on the PFS
+  std::size_t bytes_fetched = 0;    // compressed bytes the read fetched
+  std::size_t field_bytes = 0;      // reconstructed box size
   // Modeled platform times: serial_total_s charges open + every fetch +
-  // every decompression back-to-back; streamed_total_s is the pipeline
-  // makespan (fetcher ahead of the decompressor, bounded by queue_depth).
+  // every decode back-to-back; streamed_total_s is the pipeline makespan
+  // (fetcher ahead of the decoder, bounded by queue_depth).
   double serial_total_s = 0.0;
   double streamed_total_s = 0.0;
   double host_wall_s = 0.0;
   // Energy recorded through one shared thread-safe monitor.
   double fetch_j = 0.0;
   double decompress_j = 0.0;
-  // Per-slab platform times feeding the recurrence (fetch, decompress).
-  std::vector<double> slab_fetch_s;
-  std::vector<double> slab_decompress_s;
-  // Sector-ring transport telemetry (zeros when use_transport was false).
-  TransportTelemetry transport;
-  // The reassembled field.
-  Field field;
-
-  double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
-};
-
-// Reads a chunked container written by run_streamed_compress_write (or any
-// IoTool::ChunkWriter holding compressed slabs) back through the streamed
-// fetch→decompress pipeline. config.io_library must name the container's
-// tool; config.cpu selects the platform model. Only stream.queue_depth is
-// honoured (the slab count comes from the container's chunk index). Throws
-// CorruptStream — with no partial field escaping — when the container, its
-// chunk index, or any slab is malformed.
-StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
-                                   const PipelineConfig& config,
-                                   const StreamConfig& stream = {});
-
-// Serial reference for the same container: fetches every chunk in order,
-// then decompresses them in order, on the calling thread. Bit-for-bit
-// identical to run_streamed_read's field — the --verify baseline.
-Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
-                         const std::string& io_library);
-
-// --- Partial-region (zoned) read experiment --------------------------------
-//
-// The serving-scale query path: a client wants `region`, not the whole
-// field. The container's footer zone index resolves the query box to its
-// covering zones, and only those zones are fetched (ranged PFS reads) and
-// decoded — fetch of zone i overlaps decode of zone i-1 through the same
-// bounded channel as the full read pipeline. Bytes fetched therefore scale
-// with the query, not with the field.
-
-struct RegionReadRecord {
-  std::string io_library;
-  std::string path;
-  Region region;
-  int zones_total = 0;    // zones in the container's index
-  int zones_decoded = 0;  // covering zones actually fetched + decoded
-  int queue_depth = 0;
-  std::size_t container_bytes = 0;  // whole container size on the PFS
-  std::size_t bytes_fetched = 0;    // compressed bytes the query fetched
-  std::size_t field_bytes = 0;      // reconstructed region size
-  // Modeled platform times, same recurrence as StreamReadRecord but over
-  // the covering set only.
-  double serial_total_s = 0.0;
-  double streamed_total_s = 0.0;
-  double host_wall_s = 0.0;
-  double fetch_j = 0.0;
-  double decompress_j = 0.0;
-  // Per-covering-zone platform times feeding the recurrence.
+  // Per-decoded-zone platform times feeding the schedule. A zone's decode
+  // time includes placing it into the output box.
   std::vector<double> zone_fetch_s;
   std::vector<double> zone_decompress_s;
   // Sector-ring transport telemetry (zeros when use_transport was false).
   TransportTelemetry transport;
-  // The assembled region (shaped region.shape).
+  // The assembled box (shaped region.shape).
   Field field;
 
   double overlap_saving_s() const { return serial_total_s - streamed_total_s; }
@@ -265,8 +223,30 @@ struct RegionReadRecord {
   }
 };
 
+// A restart read is a region read over the full box.
+using StreamReadRecord = RegionReadRecord;
+
+// Reads the whole field of a chunked container written by
+// run_streamed_compress_write (or any IoTool::ChunkWriter holding
+// compressed slabs). config.io_library must name the container's tool;
+// config.cpu selects the platform model. Of `stream`, queue_depth,
+// use_transport and transport are honoured (the chunk count comes from
+// the container's index). A version-1 container carries no zone rows: its
+// chunks are placed in order and must tile the dataset's leading
+// dimension. Throws CorruptStream, with no partial field escaping, when
+// the container, its index, or any chunk is malformed.
+StreamReadRecord run_streamed_read(PfsSimulator& pfs, const std::string& path,
+                                   const PipelineConfig& config,
+                                   const StreamConfig& stream = {});
+
+// Serial reference for the same container: fetches, decodes and places
+// every chunk in order on the calling thread. Bit-for-bit identical to
+// run_streamed_read's field — the --verify baseline.
+Field read_chunked_field(PfsSimulator& pfs, const std::string& path,
+                         const std::string& io_library);
+
 // Reads `region` of a zoned container written by run_streamed_compress_write
-// through the streamed fetch→decode pipeline. Throws CorruptStream when the
+// through the same streamed pipeline. Throws CorruptStream when the
 // container has no zone index or any covering zone is malformed (no partial
 // Field escapes), InvalidArgument when the region falls outside the dataset.
 RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
@@ -275,10 +255,10 @@ RegionReadRecord run_streamed_read_region(PfsSimulator& pfs,
                                           const PipelineConfig& config,
                                           const StreamConfig& stream = {});
 
-// Serial reference for the same query: fetches the covering zones in order,
-// then decodes and assembles them in order, on the calling thread.
-// Bit-for-bit identical to run_streamed_read_region's field — the --verify
-// baseline for partial reads.
+// Serial reference for the same query: fetches, decodes and places the
+// covering zones in order on the calling thread. Bit-for-bit identical to
+// run_streamed_read_region's field — the --verify baseline for partial
+// reads.
 Field read_region_reference(PfsSimulator& pfs, const std::string& path,
                             const Region& region,
                             const std::string& io_library);

@@ -421,18 +421,6 @@ std::vector<std::size_t> IoTool::ChunkReader::covering(
   return covering_zones(index_.zones, region.start[0], region.shape[0]);
 }
 
-std::vector<IoTool::ChunkReader::ZoneFetch> IoTool::ChunkReader::read_zones(
-    const Region& region, int concurrent_clients) {
-  std::vector<ZoneFetch> out;
-  for (std::size_t zone : covering(region)) {
-    ZoneFetch f;
-    f.zone = zone;
-    f.blob = read_chunk(zone, &f.cost, concurrent_clients);
-    out.push_back(std::move(f));
-  }
-  return out;
-}
-
 IoTool::ChunkWriter IoTool::open_chunked(PfsSimulator& pfs,
                                          const std::string& path,
                                          ChunkedDatasetMeta meta) const {

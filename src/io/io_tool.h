@@ -204,19 +204,6 @@ class IoTool {
     // alone — no chunk bytes are touched.
     std::vector<std::size_t> covering(const Region& region) const;
 
-    // One fetched zone: its index, its exact appended bytes, and what the
-    // ranged fetch cost.
-    struct ZoneFetch {
-      std::size_t zone = 0;
-      Bytes blob;
-      IoCost cost;
-    };
-
-    // Fetches only the zones covering `region` — one ranged PFS fetch per
-    // covering chunk, nothing else.
-    std::vector<ZoneFetch> read_zones(const Region& region,
-                                      int concurrent_clients = 1);
-
    private:
     friend class IoTool;
     ChunkReader(const IoTool* tool, PfsSimulator& pfs,

@@ -563,4 +563,39 @@ ReadTimeline solve_read_timeline(const TransportConfig& config,
   return out;
 }
 
+double solve_blocking_write(std::span<const double> produce_s,
+                            std::span<const double> write_s,
+                            std::size_t queue_depth, double open_s) {
+  const std::size_t n = produce_s.size();
+  EBLCIO_CHECK_ARG(write_s.size() == n, "write_s must match produce_s");
+  if (n == 0) return open_s;
+  std::vector<double> fc(n, 0.0), fw(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double start = i > 0 ? fc[i - 1] : 0.0;
+    if (i >= queue_depth + 2) start = std::max(start, fw[i - 2 - queue_depth]);
+    else if (i == queue_depth + 1) start = std::max(start, open_s);
+    fc[i] = start + produce_s[i];
+    const double writer_free = i > 0 ? fw[i - 1] : open_s;
+    fw[i] = std::max(fc[i], writer_free) + write_s[i];
+  }
+  return fw[n - 1];
+}
+
+double solve_blocking_read(std::span<const double> fetch_s,
+                           std::span<const double> decode_s,
+                           std::size_t queue_depth, double open_s) {
+  const std::size_t n = fetch_s.size();
+  EBLCIO_CHECK_ARG(decode_s.size() == n, "decode_s must match fetch_s");
+  if (n == 0) return open_s;
+  std::vector<double> ff(n, 0.0), fd(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double start = i > 0 ? ff[i - 1] : open_s;
+    if (i >= queue_depth + 2) start = std::max(start, fd[i - 2 - queue_depth]);
+    ff[i] = start + fetch_s[i];
+    const double decoder_free = i > 0 ? fd[i - 1] : 0.0;
+    fd[i] = std::max(ff[i], decoder_free) + decode_s[i];
+  }
+  return fd[n - 1];
+}
+
 }  // namespace eblcio

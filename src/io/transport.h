@@ -272,4 +272,24 @@ ReadTimeline solve_read_timeline(const TransportConfig& config,
                                  std::span<const double> consume_s,
                                  std::size_t queue_depth, double open_s);
 
+// The blocking pipelines' schedules (no transport: one blocking append or
+// fetch per message), returning the makespan. A bounded channel of
+// queue_depth slots sits between the stages; message i's producer may
+// start once message i-1 is produced and, for i >= depth + 2, once the
+// consumer finished message i-2-depth (that frees its slot).
+//
+// Write side: the producer compresses (produce_s), the writer appends
+// (write_s) after opening the container (open_s); the producer's first
+// slot wait, at i == depth + 1, is on that open.
+double solve_blocking_write(std::span<const double> produce_s,
+                            std::span<const double> write_s,
+                            std::size_t queue_depth, double open_s);
+
+// Read side: the fetcher (fetch_s) starts after the index fetch at open
+// (open_s), the decoder (decode_s) consumes message i once it and message
+// i-1 are done.
+double solve_blocking_read(std::span<const double> fetch_s,
+                           std::span<const double> decode_s,
+                           std::size_t queue_depth, double open_s);
+
 }  // namespace eblcio

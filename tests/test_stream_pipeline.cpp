@@ -218,17 +218,17 @@ TEST(StreamRead, FetchOverlapsDecompression) {
 
   const auto wrec = run_streamed_compress_write(f, config, pfs, stream);
   const auto rec = run_streamed_read(pfs, wrec.path, config, stream);
-  ASSERT_EQ(rec.slabs, 8);
-  ASSERT_EQ(rec.slab_fetch_s.size(), 8u);
-  ASSERT_EQ(rec.slab_decompress_s.size(), 8u);
-  for (double s : rec.slab_fetch_s) EXPECT_GT(s, 0.0);
-  for (double s : rec.slab_decompress_s) EXPECT_GT(s, 0.0);
+  ASSERT_EQ(rec.zones_decoded, 8);
+  ASSERT_EQ(rec.zone_fetch_s.size(), 8u);
+  ASSERT_EQ(rec.zone_decompress_s.size(), 8u);
+  for (double s : rec.zone_fetch_s) EXPECT_GT(s, 0.0);
+  for (double s : rec.zone_decompress_s) EXPECT_GT(s, 0.0);
   EXPECT_GT(rec.streamed_total_s, 0.0);
   EXPECT_LT(rec.streamed_total_s, rec.serial_total_s);
   EXPECT_GT(rec.overlap_saving_s(), 0.0);
   // The pipeline can never finish before the decompress stage alone.
   const double decompress_total = std::accumulate(
-      rec.slab_decompress_s.begin(), rec.slab_decompress_s.end(), 0.0);
+      rec.zone_decompress_s.begin(), rec.zone_decompress_s.end(), 0.0);
   EXPECT_GE(rec.streamed_total_s, decompress_total);
   // Both stages charged energy through the shared monitor.
   EXPECT_GT(rec.fetch_j, 0.0);

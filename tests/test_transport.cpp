@@ -1,9 +1,9 @@
 // Sector-ring transport tests: file-byte parity with the blocking append
 // path, credit exhaustion and recovery, per-channel FIFO retirement,
 // in-flight-only registry accounting, contended pricing monotonicity,
-// concurrent N-writer × M-reader interleavings, and error-path hygiene
-// (a mid-stream wire failure must release every credit and pooled sector
-// buffer).
+// concurrent N-writer × M-reader interleavings, error-path hygiene (a
+// mid-stream wire failure must release every credit and pooled sector
+// buffer), and hand-computed blocking-pipeline schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -334,6 +334,36 @@ TEST(SectorTransportTest, MidStreamErrorReleasesCreditsAndBuffers) {
   const auto pool_after = BufferPool::global().stats();
   EXPECT_EQ(pool_after.acquires - pool_before.acquires,
             pool_after.releases - pool_before.releases);
+}
+
+TEST(BlockingScheduleTest, HandComputedMakespansAtDepthOne) {
+  // Four messages through a one-slot channel. A slot frees when the
+  // consumer finishes message i-2-depth, so from i = 3 the producer waits
+  // on the consumer's finish of message i-3; on the write side the
+  // producer's first slot wait, at i = 2, is on the container open.
+  using V = std::vector<double>;
+
+  // Open gate: the writer opens until t=10, so message 2 cannot start
+  // compressing before then. fc = 1, 2, 15, 16; fw = 11, 12, 16, 17.
+  // Without the gate message 2 would compress at 2 and the run end at 14.
+  EXPECT_EQ(solve_blocking_write(V{1, 1, 5, 1}, V{1, 1, 1, 1}, 1, 10.0),
+            17.0);
+
+  // Slot gate: the slow first write holds the slot until t=11, so message
+  // 3 compresses from 11 to 14. fc = 1, 2, 3, 14; fw = 11, 12, 13, 15.
+  // Without the gate message 3 would be ready at 6 and the run end at 14.
+  EXPECT_EQ(solve_blocking_write(V{1, 1, 1, 3}, V{10, 1, 1, 1}, 1, 0.0),
+            15.0);
+
+  // Read side: the fetcher starts after the open at t=2 and message 3's
+  // fetch waits for the decode of message 0 (done at 13). ff = 3, 4, 5,
+  // 16; fd = 13, 14, 15, 17. Without the gate the run would end at 16.
+  EXPECT_EQ(solve_blocking_read(V{1, 1, 1, 3}, V{10, 1, 1, 1}, 1, 2.0),
+            17.0);
+
+  // Mismatched columns are a caller error.
+  EXPECT_THROW(solve_blocking_write(V{1, 1}, V{1}, 1, 0.0), InvalidArgument);
+  EXPECT_THROW(solve_blocking_read(V{1}, V{1, 1}, 1, 0.0), InvalidArgument);
 }
 
 TEST(SectorTransportTest, StreamedWriteContainerBitIdenticalToBlocking) {

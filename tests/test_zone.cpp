@@ -2,8 +2,9 @@
 // ZoneCompressor's parallel/serial bit-parity, region decodes against the
 // full-field slice, the zoned container index through every IoTool, random
 // query boxes vs the serial reference, and robustness (corrupt zone
-// indexes, truncated zone blobs, out-of-bounds queries must fail cleanly
-// with no partial field escaping).
+// indexes, zone extents that do not match their blobs, v1 chunks that do
+// not tile the dataset, truncated zone blobs, out-of-bounds queries must
+// fail cleanly with no partial field escaping).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,18 +244,10 @@ TEST_P(ZonedContainer, FooterZoneIndexRoundTrips) {
   ASSERT_TRUE(reader.index().zoned());
   EXPECT_EQ(reader.index().zones, zone_extents(40, 8));
 
-  // covering() resolves boxes from the footer alone; read_zones fetches
-  // exactly the covering chunks byte-for-byte.
+  // covering() resolves boxes from the footer alone: a box straddling the
+  // zone 0/1 boundary (zones of 5 rows) covers exactly those two zones.
   const Region straddle{{4, 0, 0}, {2, 40, 40}};
-  const auto cover = reader.covering(straddle);
-  ASSERT_EQ(cover.size(), 2u);
-  auto fetched = reader.read_zones(straddle);
-  ASSERT_EQ(fetched.size(), 2u);
-  for (std::size_t i = 0; i < fetched.size(); ++i) {
-    EXPECT_EQ(fetched[i].zone, cover[i]);
-    EXPECT_EQ(fetched[i].blob, reader.read_chunk(cover[i]));
-    EXPECT_GT(fetched[i].cost.total_seconds(), 0.0);
-  }
+  EXPECT_EQ(reader.covering(straddle), (std::vector<std::size_t>{0, 1}));
 }
 
 TEST_P(ZonedContainer, RandomQueryBoxesMatchSerialReference) {
@@ -483,6 +476,59 @@ TEST_F(ZoneRobustness, OutOfBoundsRegionIsInvalidArgument) {
       InvalidArgument);
 }
 
+// --- every read checks decoded zones against the index ---------------------
+
+// A ragged container (24 rows in zones of 5, 5, 5, 5, 4) whose footer
+// extents are rewritten after the write. The extents stay in bounds, so the
+// open accepts them; the full read and its serial reference must then
+// reject the mismatched zone blobs instead of assembling them.
+class ZoneIndexMismatch : public ZoneRobustness {
+ protected:
+  void SetUp() override {
+    field_ = smooth_field_3d(24);
+    config_.codec = "SZ3";
+    StreamConfig stream;
+    stream.slabs = 5;
+    path_ = run_streamed_compress_write(field_, config_, pfs_, stream).path;
+    nchunks_ = 5;
+  }
+
+  // Rewrites zone `to`'s (offset, size) with zone `from`'s.
+  void copy_extent(Bytes& raw, const Bytes& orig, std::size_t from,
+                   std::size_t to) const {
+    std::memcpy(raw.data() + footer_word(raw, to, 0),
+                orig.data() + footer_word(orig, from, 0), 16);
+  }
+
+  void expect_full_reads_reject() {
+    StreamConfig blocking;
+    blocking.use_transport = false;
+    EXPECT_THROW((void)run_streamed_read(pfs_, path_, config_), CorruptStream);
+    EXPECT_THROW((void)run_streamed_read(pfs_, path_, config_, blocking),
+                 CorruptStream);
+    EXPECT_THROW((void)read_chunked_field(pfs_, path_, "HDF5"),
+                 CorruptStream);
+  }
+};
+
+TEST_F(ZoneIndexMismatch, ZoneExtentPointingAtAnotherZoneFailsCleanly) {
+  // Zone 4 (4 rows) now fetches zone 0's 5-row blob: placed unchecked it
+  // would write a row past the end of the field.
+  corrupt([&](Bytes& raw) { copy_extent(raw, Bytes(raw), 0, 4); });
+  expect_full_reads_reject();
+}
+
+TEST_F(ZoneIndexMismatch, SwappedZoneExtentsFailCleanly) {
+  // Zones 0 and 4 hold each other's blobs: placed unchecked the rows would
+  // come back out of order.
+  corrupt([&](Bytes& raw) {
+    const Bytes orig = raw;
+    copy_extent(raw, orig, 0, 4);
+    copy_extent(raw, orig, 4, 0);
+  });
+  expect_full_reads_reject();
+}
+
 // --- version-1 back-compat --------------------------------------------------
 
 TEST(ZoneBackCompat, V1ChunkedContainersStillDecodeAndRejectRegionQueries) {
@@ -518,6 +564,38 @@ TEST(ZoneBackCompat, V1ChunkedContainersStillDecodeAndRejectRegionQueries) {
   // The full-field streamed read still serves v1 containers bit-for-bit.
   const auto read = run_streamed_read(pfs, "/pfs/v1", config);
   EXPECT_TRUE(bytes_equal(read.field, decompress_any(blob)));
+}
+
+TEST(ZoneBackCompat, V1ChunksMustTileTheLeadingDimension) {
+  // A v1 container has no zone rows: its chunks are placed in order and
+  // must cover dims[0] exactly. Too many rows would overrun the field, too
+  // few would leave rows unwritten; both must fail cleanly.
+  const Field f = smooth_field_3d(24);
+  PipelineConfig config;
+  config.codec = "SZ3";
+  PfsSimulator pfs;
+  CompressOptions opt;
+  opt.error_bound = config.error_bound;
+  const Bytes blob = compressor("SZ3").compress(f, opt);
+
+  IoTool& tool = io_tool("HDF5");
+  ChunkedDatasetMeta meta;
+  meta.name = f.name();
+  meta.dims = f.shape().dims_vector();
+  auto over = tool.open_chunked(pfs, "/pfs/v1-over", meta);
+  over.append_chunk(blob);
+  over.append_chunk(blob);  // 48 rows for a 24-row dataset
+  over.close();
+  meta.dims[0] = 30;  // one 24-row chunk for a 30-row dataset
+  auto under = tool.open_chunked(pfs, "/pfs/v1-under", meta);
+  under.append_chunk(blob);
+  under.close();
+
+  for (const char* path : {"/pfs/v1-over", "/pfs/v1-under"}) {
+    SCOPED_TRACE(path);
+    EXPECT_THROW((void)run_streamed_read(pfs, path, config), CorruptStream);
+    EXPECT_THROW((void)read_chunked_field(pfs, path, "HDF5"), CorruptStream);
+  }
 }
 
 TEST(ZoneBackCompat, ZonedWriterRejectsPlainAppendAndBadPartitions) {
