@@ -5,11 +5,12 @@
 // Unlike the figure benches this binary is a perf harness: each kernel runs
 // --reps times and the best (least-noisy) wall time is reported, as a text
 // table and as machine-readable BENCH_codecs.json (see --json). CI's
-// Release leg runs it and fails when huffman-decode throughput regresses
-// more than 25% against bench/baselines/BENCH_codecs.json, normalized by
-// the memcpy calibration row to damp machine-to-machine variance
-// (scripts/check_perf_baseline.py; see src/codec/README.md for how to
-// refresh the baseline).
+// Release leg runs it and fails when a gated kernel regresses more than
+// 25% against bench/baselines/BENCH_codecs.json. The huffman_* gates are
+// normalized in-run by the *_reference rows, timed from the test-only
+// referees in referees/huffman_reference.h; the others by the memcpy
+// calibration row (scripts/check_perf_baseline.py; see src/codec/README.md
+// for how to refresh the baseline).
 #include <algorithm>
 #include <cstring>
 #include <string>
@@ -26,6 +27,7 @@
 #include "compressors/compressor.h"
 #include "compressors/quantizer.h"
 #include "data/dataset.h"
+#include "referees/huffman_reference.h"
 
 namespace {
 

@@ -9,17 +9,20 @@ normalized throughputs:
 
     current_norm / baseline_norm  >=  1 - tolerance
 
-Paired gating kernels normalize against an in-binary reference of the same
-code path: huffman_decode against huffman_decode_reference,
-huffman_decode_lowent against huffman_decode_reference_lowent,
-huffman_encode against huffman_encode_reference, and
-huffman_encode_lowent against huffman_encode_reference_lowent
-(bench_micro_codecs), zone_decode (parallel full-field zone decode)
-against zone_decode_serial (bench_zone_scaling), and streamed_write
-(sector-ring transport write) against streamed_write_serial (the blocking
-append path, bench_transport_scaling). Both halves of a pair run
-the identical payload in the same process seconds apart, which cancels
-machine and noisy-neighbour variance far better than a bandwidth row can.
+Paired gating kernels normalize against an in-binary reference that does
+the same work. The four huffman_* kernels of bench_micro_codecs pair with
+the straight-line referees of the test-only eblcio_referees library,
+which that bench links beside the library: huffman_decode with
+huffman_decode_reference, huffman_decode_lowent with
+huffman_decode_reference_lowent, huffman_encode with
+huffman_encode_reference, and huffman_encode_lowent with
+huffman_encode_reference_lowent. The other pairs are zone_decode
+(parallel full-field zone decode) against zone_decode_serial
+(bench_zone_scaling), and streamed_write (sector-ring transport write)
+against streamed_write_serial (the blocking append path,
+bench_transport_scaling). Both halves of a pair run the identical
+payload in the same process seconds apart, which cancels machine and
+noisy-neighbour variance far better than a bandwidth row can.
 Because a pair shares its substrate (a regression there would slow both
 and hide in the ratio), a second, looser memcpy-normalized gate
 (tolerance 0.6) backstops substrate-wide slowdowns. All other kernels

@@ -32,138 +32,6 @@ struct TreeNode {
   std::uint32_t symbol; // valid for leaves
 };
 
-}  // namespace
-
-std::vector<std::uint8_t> huffman_code_lengths(
-    std::span<const std::uint64_t> freqs) {
-  const std::size_t n = freqs.size();
-  std::vector<std::uint8_t> lengths(n, 0);
-
-  std::vector<std::uint32_t> present;
-  for (std::size_t s = 0; s < n; ++s)
-    if (freqs[s] > 0) present.push_back(static_cast<std::uint32_t>(s));
-  if (present.empty()) return lengths;
-  if (present.size() == 1) {
-    lengths[present[0]] = 1;
-    return lengths;
-  }
-
-  // Standard two-queue Huffman tree construction.
-  std::vector<TreeNode> nodes;
-  nodes.reserve(present.size() * 2);
-  using Entry = std::pair<std::uint64_t, std::int32_t>;  // (freq, node index)
-  auto cmp = [](const Entry& a, const Entry& b) { return a.first > b.first; };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
-  for (std::uint32_t s : present) {
-    nodes.push_back({freqs[s], -1, -1, s});
-    heap.emplace(freqs[s], static_cast<std::int32_t>(nodes.size() - 1));
-  }
-  while (heap.size() > 1) {
-    const auto a = heap.top();
-    heap.pop();
-    const auto b = heap.top();
-    heap.pop();
-    nodes.push_back({a.first + b.first, a.second, b.second, 0});
-    heap.emplace(a.first + b.first,
-                 static_cast<std::int32_t>(nodes.size() - 1));
-  }
-
-  // Depth-first traversal to assign depths.
-  struct Item {
-    std::int32_t node;
-    int depth;
-  };
-  std::vector<Item> stack{{heap.top().second, 0}};
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    const TreeNode& nd = nodes[it.node];
-    if (nd.left < 0) {
-      lengths[nd.symbol] = static_cast<std::uint8_t>(std::max(it.depth, 1));
-    } else {
-      stack.push_back({nd.left, it.depth + 1});
-      stack.push_back({nd.right, it.depth + 1});
-    }
-  }
-
-  // Length-limit with a Kraft-sum fix-up: clamp overlong codes, then demote
-  // codes (increase their length) until the Kraft inequality holds again.
-  bool overflow = false;
-  for (std::uint32_t s : present)
-    if (lengths[s] > kMaxHuffmanBits) {
-      lengths[s] = kMaxHuffmanBits;
-      overflow = true;
-    }
-  if (overflow) {
-    auto kraft = [&]() {
-      long double k = 0;
-      for (std::uint32_t s : present)
-        k += std::pow(2.0L, -static_cast<int>(lengths[s]));
-      return k;
-    };
-    // Sort symbols by ascending frequency so the cheapest codes get demoted.
-    std::vector<std::uint32_t> order = present;
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return freqs[a] < freqs[b];
-    });
-    std::size_t i = 0;
-    while (kraft() > 1.0L) {
-      std::uint32_t s = order[i % order.size()];
-      if (lengths[s] < kMaxHuffmanBits) ++lengths[s];
-      ++i;
-    }
-  }
-  return lengths;
-}
-
-namespace {
-
-// Canonical code assignment: symbols ordered by (length, symbol).
-struct CanonicalCodes {
-  std::vector<std::uint8_t> lengths;
-  std::vector<std::uint64_t> codes;  // MSB-first code values
-};
-
-CanonicalCodes assign_canonical(std::vector<std::uint8_t> lengths) {
-  CanonicalCodes cc;
-  cc.codes.assign(lengths.size(), 0);
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t s = 0; s < lengths.size(); ++s)
-    if (lengths[s] > 0) order.push_back(s);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
-    return a < b;
-  });
-  std::uint64_t code = 0;
-  int prev_len = 0;
-  for (std::uint32_t s : order) {
-    code <<= (lengths[s] - prev_len);
-    cc.codes[s] = code;
-    ++code;
-    prev_len = lengths[s];
-  }
-  cc.lengths = std::move(lengths);
-  return cc;
-}
-
-void write_lengths_rle(Bytes& out, std::span<const std::uint8_t> lengths) {
-  // (length, run) pairs; run is u32. Compact because quantization-code
-  // alphabets are sparse away from the center.
-  std::uint32_t i = 0;
-  std::vector<std::pair<std::uint8_t, std::uint32_t>> runs;
-  while (i < lengths.size()) {
-    std::uint32_t j = i;
-    while (j < lengths.size() && lengths[j] == lengths[i]) ++j;
-    runs.emplace_back(lengths[i], j - i);
-    i = j;
-  }
-  append_pod<std::uint32_t>(out, static_cast<std::uint32_t>(runs.size()));
-  for (auto [len, run] : runs) {
-    append_pod<std::uint8_t>(out, len);
-    append_pod<std::uint32_t>(out, run);
-  }
-}
-
 std::vector<std::uint8_t> read_lengths_rle(ByteReader& r,
                                            std::uint32_t alphabet_size) {
   const auto nruns = r.read_pod<std::uint32_t>();
@@ -185,7 +53,7 @@ std::vector<std::uint8_t> read_lengths_rle(ByteReader& r,
   return lengths;
 }
 
-// Parsed blob header plus the canonical decode tables both decoders share.
+// Parsed blob header plus the canonical decode tables.
 struct DecodeSetup {
   std::uint64_t count = 0;
   std::uint32_t alphabet_size = 0;
@@ -196,7 +64,6 @@ struct DecodeSetup {
   std::array<std::uint64_t, kMaxHuffmanBits + 2> first_code{};
   std::array<std::uint32_t, kMaxHuffmanBits + 2> first_index{};
   std::array<std::uint32_t, kMaxHuffmanBits + 2> num_codes{};
-  int max_len = 0;
 };
 
 DecodeSetup decode_setup(std::span<const std::byte> blob) {
@@ -227,10 +94,7 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
               return a < b;
             });
 
-  for (std::uint32_t sym : s.order) {
-    ++s.num_codes[s.lengths[sym]];
-    s.max_len = std::max<int>(s.max_len, s.lengths[sym]);
-  }
+  for (std::uint32_t sym : s.order) ++s.num_codes[s.lengths[sym]];
   std::uint64_t code = 0;
   std::uint32_t idx = 0;
   for (int len = 1; len <= kMaxHuffmanBits; ++len) {
@@ -242,8 +106,8 @@ DecodeSetup decode_setup(std::span<const std::byte> blob) {
   return s;
 }
 
-// Per-bit canonical decode of one symbol; shared by the reference decoder
-// and the LUT decoder's long-code fallback. Throws on invalid codes.
+// Per-bit canonical decode of one symbol: the LUT decoder's long-code and
+// tail path. Throws on invalid codes.
 std::uint32_t decode_symbol_slow(const DecodeSetup& s, BitReader& br) {
   std::uint64_t code = 0;
   int len = 0;
@@ -259,31 +123,10 @@ std::uint32_t decode_symbol_slow(const DecodeSetup& s, BitReader& br) {
   }
 }
 
-// True for the degenerate streams both decoders shortcut identically;
-// `*result` receives the decoded stream when so.
-bool decode_degenerate(const DecodeSetup& s,
-                       std::vector<std::uint32_t>* result) {
-  if (s.count == 0) {
-    result->clear();
-    return true;
-  }
-  EBLCIO_CHECK_STREAM(!s.order.empty(), "huffman stream with empty alphabet");
-  if (s.order.size() == 1) {
-    result->assign(s.count, s.order[0]);
-    return true;
-  }
-  return false;
-}
-
 // --- Encoder fast path -----------------------------------------------------
 
-// Alphabets past this bound skip the pooled scratch (whose dense tables are
-// sized to the alphabet) and take the reference path; 2^17 covers the
-// SZ-family 65537-entry quantizer alphabet with headroom.
-constexpr std::uint32_t kEncoderMaxScratchAlphabet = 1u << 17;
 // Histogram lane counters are u32; a lane only ever sees every 4th stream
-// position, so counts stay in range while the stream is below 4 * 2^32.
-constexpr std::uint64_t kEncoderMaxSplitSymbols = std::uint64_t{1} << 33;
+// position, which keeps counts in range up to kHuffmanMaxSymbols.
 constexpr int kHistLanes = 4;
 
 // Thread-local working set for huffman_encode: repeated encodes (per zone,
@@ -322,11 +165,12 @@ EncoderScratch& encoder_scratch() {
   return sc;
 }
 
-// Heap-based length build over the compact (present, freqs) lists —
-// line-for-line the algorithm of huffman_code_lengths (same node insertion
-// order, same comparator, same Kraft fix-up), so its tie-break behavior is
-// exactly the one the frozen reference blobs were produced with. Writes
-// sc.lengths (parallel to sc.present).
+// Heap-based length build over the compact (present, freqs) lists: the
+// tie and Kraft fallback behind moffat_lengths. Its node insertion order,
+// std::priority_queue comparator and Kraft fix-up are the ones the frozen
+// reference blobs were produced with (the test-only huffman_code_lengths
+// referee runs the same algorithm over the dense table). Writes sc.lengths
+// (parallel to sc.present).
 void heap_lengths_compact(EncoderScratch& sc) {
   const std::size_t m = sc.present.size();
   sc.lengths.assign(m, 0);
@@ -401,17 +245,18 @@ void heap_lengths_compact(EncoderScratch& sc) {
 // nodes append to a second in nondecreasing weight order, so every merge
 // pops the two smallest heads in O(1) — no heap, no per-merge log factor.
 //
-// Wire safety: the blob is frozen, and the reference builder's lengths
-// depend on std::priority_queue's pop order among equal weights. When no
-// merge step is tie-ambiguous — no *third* candidate's weight equals the
-// second pick's — the merged pair is forced as a multiset at every step,
-// so any correct builder produces the same tree depths (the two picks may
-// swap roles on an a==b tie, but both children sit at the same depth).
-// Each merge therefore checks the next head against the second pick and
-// returns false on a tie, and the caller falls back to the retained heap
-// builder: identical lengths by the forcing argument on this path,
-// identical by construction on the other. Depths past kMaxHuffmanBits
-// also bail out so the Kraft fix-up runs only in its original form.
+// Wire safety: the blob is frozen, and the heap builder's lengths depend
+// on std::priority_queue's pop order among equal weights. When no merge
+// step is tie-ambiguous — no *third* candidate's weight equals the second
+// pick's — the merged pair is forced as a multiset at every step, so any
+// correct builder produces the same tree depths (the two picks may swap
+// roles on an a==b tie, but both children sit at the same depth). Each
+// merge therefore checks the next head against the second pick and
+// returns false on a tie, and the caller falls back to
+// heap_lengths_compact: identical lengths by the forcing argument on this
+// path, identical by construction on the other. Depths past
+// kMaxHuffmanBits also bail out so the Kraft fix-up runs only in its
+// original form.
 bool moffat_lengths(EncoderScratch& sc) {
   const std::size_t m = sc.present.size();
   sc.lengths.assign(m, 0);
@@ -470,12 +315,10 @@ bool moffat_lengths(EncoderScratch& sc) {
 
 Bytes huffman_encode(std::span<const std::uint32_t> symbols,
                      std::uint32_t alphabet_size) {
-  // Inputs outside the scratch bounds take the reference path, which emits
-  // byte-identical blobs (the overhaul is wire-frozen, so the two paths
-  // are interchangeable per input).
-  if (alphabet_size > kEncoderMaxScratchAlphabet ||
-      symbols.size() > kEncoderMaxSplitSymbols)
-    return huffman_encode_reference(symbols, alphabet_size);
+  EBLCIO_CHECK_ARG(alphabet_size <= kHuffmanMaxAlphabet,
+                   "huffman alphabet above kHuffmanMaxAlphabet");
+  EBLCIO_CHECK_ARG(symbols.size() <= kHuffmanMaxSymbols,
+                   "huffman stream above kHuffmanMaxSymbols");
 
   // Bounds pre-scan: one vectorizable max/min reduction replaces the
   // per-symbol branch the histogram loop used to carry; the same
@@ -534,7 +377,8 @@ Bytes huffman_encode(std::span<const std::uint32_t> symbols,
 
   // RLE header runs straight off the compact lists: gaps between present
   // symbols are zero-length runs, adjacent equal lengths merge — exactly
-  // the maximal runs write_lengths_rle produces over the dense table.
+  // the maximal runs of the dense length table, which read_lengths_rle
+  // expands on decode.
   sc.runs.clear();
   auto emit_run = [&](std::uint8_t len, std::uint32_t count) {
     if (!sc.runs.empty() && sc.runs.back().first == len)
@@ -619,54 +463,12 @@ Bytes huffman_encode(std::span<const std::uint32_t> symbols,
   return out;
 }
 
-Bytes huffman_encode_reference(std::span<const std::uint32_t> symbols,
-                               std::uint32_t alphabet_size) {
-  std::vector<std::uint64_t> freqs(alphabet_size, 0);
-  for (std::uint32_t s : symbols) {
-    EBLCIO_CHECK_ARG(s < alphabet_size, "symbol outside alphabet");
-    ++freqs[s];
-  }
-  auto cc = assign_canonical(huffman_code_lengths(freqs));
-
-  Bytes out = BufferPool::global().acquire(symbols.size() / 2 + 64);
-  append_pod<std::uint64_t>(out, symbols.size());
-  append_pod<std::uint32_t>(out, alphabet_size);
-  write_lengths_rle(out, cc.lengths);
-
-  // Emit through precomputed bit-reversed codes: the per-occurrence cost is
-  // one table load plus one word-buffered put_bits (reversing inside the
-  // emit loop would cost O(code length) per symbol occurrence).
-  struct EmitEntry {
-    std::uint32_t code;  // bit-reversed, LSB-first
-    std::uint32_t len;
-  };
-  std::vector<EmitEntry> emit(cc.codes.size(), EmitEntry{0, 0});
-  std::size_t total_bits = 0;
-  for (std::uint32_t s = 0; s < cc.codes.size(); ++s) {
-    if (cc.lengths[s] == 0) continue;
-    emit[s] = {static_cast<std::uint32_t>(
-                   reverse_bits(cc.codes[s], cc.lengths[s])),
-               cc.lengths[s]};
-    total_bits += freqs[s] * cc.lengths[s];
-  }
-  BitWriter bw;
-  bw.reserve_bits(total_bits);
-  for (std::uint32_t s : symbols) {
-    const EmitEntry e = emit[s];
-    bw.put_bits(e.code, static_cast<int>(e.len));
-  }
-  Bytes payload = bw.take();
-  append_pod<std::uint64_t>(out, payload.size());
-  append_bytes(out, payload);
-  BufferPool::global().release(std::move(payload));
-  return out;
-}
-
 std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob) {
   const DecodeSetup s = decode_setup(blob);
-  std::vector<std::uint32_t> result;
-  result.reserve(s.count);
-  if (decode_degenerate(s, &result)) return result;
+  if (s.count == 0) return {};
+  EBLCIO_CHECK_STREAM(!s.order.empty(), "huffman stream with empty alphabet");
+  if (s.order.size() == 1)
+    return std::vector<std::uint32_t>(s.count, s.order[0]);
 
   // Single-level lookup table over the next kHuffmanLutBits stream bits
   // with zstd-style multi-symbol packing: when the first code in the
@@ -735,7 +537,7 @@ std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob) {
     lut[idx] = e;
   }
 
-  result.resize(s.count);
+  std::vector<std::uint32_t> result(s.count);
   std::uint32_t* dst = result.data();
   const std::uint64_t lut_mask = (std::uint64_t{1} << kHuffmanLutBits) - 1;
   BitReader br(s.payload);
@@ -774,19 +576,6 @@ std::vector<std::uint32_t> huffman_decode(std::span<const std::byte> blob) {
     // symbols ever take this path.
     dst[i++] = decode_symbol_slow(s, br);
   }
-  return result;
-}
-
-std::vector<std::uint32_t> huffman_decode_reference(
-    std::span<const std::byte> blob) {
-  const DecodeSetup s = decode_setup(blob);
-  std::vector<std::uint32_t> result;
-  result.reserve(s.count);
-  if (decode_degenerate(s, &result)) return result;
-
-  BitReader br(s.payload);
-  for (std::uint64_t i = 0; i < s.count; ++i)
-    result.push_back(decode_symbol_slow(s, br));
   return result;
 }
 

@@ -17,6 +17,9 @@ namespace {
 
 constexpr std::uint32_t kLzMagic = 0x4c5a4542;  // "BEZL"
 constexpr int kMaxMatch = 1 << 12;
+// Shortest match worth a token, and the farthest back a match may start.
+constexpr std::size_t kMinMatch = 4;
+constexpr std::size_t kWindow = std::size_t{1} << 16;
 
 inline std::uint32_t hash4(const std::byte* p) {
   std::uint32_t v;
@@ -76,15 +79,12 @@ Bytes emit_blob(std::size_t n, const std::vector<Token>& tokens,
   return out;
 }
 
-// The shared greedy tokenizer: `find` is the per-position match search,
-// returning the best (len, dist) under the original chain semantics —
-// candidates in recency order, a fixed probe budget, strictly-improving
-// acceptance — and `insert` adds one position to the search structure.
-// Both matchers below plug into this loop, so their token streams are
-// identical by construction.
+// The greedy tokenizer: `find` is the per-position match search, returning
+// the best (len, dist) under the original chain semantics — candidates in
+// recency order, a fixed probe budget, strictly-improving acceptance — and
+// `insert` adds one position to the search structure.
 template <typename Find, typename Insert>
-Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
-               Find find, Insert insert) {
+Bytes tokenize(std::span<const std::byte> data, Find find, Insert insert) {
   const std::size_t n = data.size();
   std::vector<Token> tokens;
   Bytes literals;
@@ -96,7 +96,7 @@ Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
     if (pos + 4 <= n) find(pos, &best_len, &best_dist);
-    if (best_len >= static_cast<std::size_t>(opt.min_match)) {
+    if (best_len >= kMinMatch) {
       tokens.push_back({static_cast<std::uint32_t>(pos - lit_start),
                         static_cast<std::uint32_t>(best_len),
                         static_cast<std::uint32_t>(best_dist)});
@@ -121,20 +121,18 @@ Bytes tokenize(std::span<const std::byte> data, const LzOptions& opt,
 // Evaluates candidate `c` against position `pos` exactly as the original
 // chain walk did. Two exact rejects skip the full extension without
 // affecting the output: (a) a mismatch one byte past the current best
-// proves len <= best_len; (b) when min_match >= 4, a first-4-bytes
-// mismatch proves the candidate is a hash collision that cannot reach
-// min_match (sub-minimum best_len updates only ever gate which later
-// candidates get *evaluated*, never which match is finally emitted).
+// proves len <= best_len; (b) a first-4-bytes mismatch proves the
+// candidate is a hash collision that cannot reach kMinMatch (sub-minimum
+// best_len updates only ever gate which later candidates get *evaluated*,
+// never which match is finally emitted).
 inline void consider_candidate(const std::byte* base, std::size_t n,
                                std::size_t pos, std::size_t c,
-                               std::size_t max_len, bool prefix_reject,
-                               std::uint32_t pos4, std::size_t* best_len,
-                               std::size_t* best_dist) {
-  if (prefix_reject) {
-    std::uint32_t c4;
-    std::memcpy(&c4, base + c, 4);
-    if (c4 != pos4) return;
-  }
+                               std::size_t max_len, std::uint32_t pos4,
+                               std::size_t* best_len, std::size_t* best_dist) {
+  static_assert(kMinMatch >= 4, "the prefix reject needs 4-byte matches");
+  std::uint32_t c4;
+  std::memcpy(&c4, base + c, 4);
+  if (c4 != pos4) return;
   if (*best_len != 0 && !(c + *best_len < n && pos + *best_len < n &&
                           base[c + *best_len] == base[pos + *best_len]))
     return;
@@ -146,15 +144,15 @@ inline void consider_candidate(const std::byte* base, std::size_t n,
   }
 }
 
-// Match finder for windows up to 64 KiB (every in-tree caller): successor
-// links are 16-bit gaps, so the chain working set stays small enough to be
-// cache-resident. A gap that cannot be represented would land out of the
-// window for every position that still reaches its predecessor, so the
-// sentinel is exactly equivalent to following the link and failing the
-// window check. HeadIndex narrows the bucket-head table to the smallest
-// type the input length fits (128 KiB of heads instead of 256 KiB for the
-// common uint32_t case) — the head values are the same absolute positions
-// either way, so the search is unchanged.
+// The match finder over the 64 KiB window: successor links are 16-bit
+// gaps, so the chain working set stays small enough to be cache-resident.
+// A gap that cannot be represented would land out of the window for every
+// position that still reaches its predecessor, so the sentinel is exactly
+// equivalent to following the link and failing the window check.
+// HeadIndex narrows the bucket-head table to the smallest type the input
+// length fits (128 KiB of heads instead of 256 KiB for the common uint32_t
+// case; uint64_t from 4 GiB up) — the head values are the same absolute
+// positions either way, so the search is unchanged.
 template <typename HeadIndex>
 Bytes compress_small_window(std::span<const std::byte> data,
                             const LzOptions& opt) {
@@ -163,7 +161,6 @@ Bytes compress_small_window(std::span<const std::byte> data,
   constexpr std::uint16_t kFarGap = 0xFFFF;  // no (reachable) predecessor
   const std::size_t n = data.size();
   const std::byte* base = data.data();
-  const bool prefix_reject = opt.min_match >= 4;
 
   std::vector<HeadIndex> head(kHashSize, kNil);
   std::vector<std::uint16_t> gap(n > 0 ? n : 1, kFarGap);
@@ -193,68 +190,24 @@ Bytes compress_small_window(std::span<const std::byte> data,
                                       : static_cast<std::size_t>(head[h]);
     int probes = opt.max_probes;
     while (c != std::numeric_limits<std::size_t>::max() && probes-- > 0 &&
-           pos - c <= opt.window) {
-      consider_candidate(base, n, pos, c, max_len, prefix_reject, pos4,
-                         best_len, best_dist);
+           pos - c <= kWindow) {
+      consider_candidate(base, n, pos, c, max_len, pos4, best_len,
+                         best_dist);
       const std::uint16_t g = gap[c];
       c = (g == kFarGap) ? std::numeric_limits<std::size_t>::max() : c - g - 1;
     }
     link(pos, head[h]);
     head[h] = static_cast<HeadIndex>(pos);
   };
-  return tokenize(data, opt, find, insert);
-}
-
-// General match finder: absolute predecessor indices (uint32_t up to 4 GiB
-// inputs, uint64_t beyond), identical search semantics.
-template <typename Index>
-Bytes compress_indexed(std::span<const std::byte> data, const LzOptions& opt) {
-  constexpr std::size_t kHashSize = 1u << 15;
-  constexpr Index kNil = std::numeric_limits<Index>::max();
-  const std::size_t n = data.size();
-  const std::byte* base = data.data();
-  const bool prefix_reject = opt.min_match >= 4;
-
-  std::vector<Index> head(kHashSize, kNil);
-  std::vector<Index> prev(n > 0 ? n : 1, kNil);
-
-  const auto insert = [&](std::size_t p) {
-    const std::uint32_t h = hash4(base + p);
-    prev[p] = head[h];
-    head[h] = static_cast<Index>(p);
-  };
-  const auto find = [&](std::size_t pos, std::size_t* best_len,
-                        std::size_t* best_dist) {
-    const std::uint32_t h = hash4(base + pos);
-    std::uint32_t pos4;
-    std::memcpy(&pos4, base + pos, 4);
-    const std::size_t max_len = std::min<std::size_t>(kMaxMatch, n - pos);
-    Index cand = head[h];
-    int probes = opt.max_probes;
-    while (cand != kNil && probes-- > 0 &&
-           pos - static_cast<std::size_t>(cand) <= opt.window) {
-      const std::size_t c = static_cast<std::size_t>(cand);
-      consider_candidate(base, n, pos, c, max_len, prefix_reject, pos4,
-                         best_len, best_dist);
-      cand = prev[c];
-    }
-    prev[pos] = head[h];
-    head[h] = static_cast<Index>(pos);
-  };
-  return tokenize(data, opt, find, insert);
+  return tokenize(data, find, insert);
 }
 
 }  // namespace
 
 Bytes lz_compress(std::span<const std::byte> data, const LzOptions& opt) {
-  if (opt.window <= (1u << 16)) {
-    if (data.size() < std::numeric_limits<std::uint32_t>::max())
-      return compress_small_window<std::uint32_t>(data, opt);
-    return compress_small_window<std::uint64_t>(data, opt);
-  }
   if (data.size() < std::numeric_limits<std::uint32_t>::max())
-    return compress_indexed<std::uint32_t>(data, opt);
-  return compress_indexed<std::uint64_t>(data, opt);
+    return compress_small_window<std::uint32_t>(data, opt);
+  return compress_small_window<std::uint64_t>(data, opt);
 }
 
 Bytes lz_decompress(std::span<const std::byte> blob) {

@@ -5,6 +5,9 @@
 //  * as the lossless backend the SZ-family compressors run after Huffman
 //    coding their quantization codes (SZ2/SZ3 pipeline: predict -> quantize
 //    -> Huffman -> Zstd).
+//
+// One greedy match finder serves every input size: a 64 KiB window,
+// matches of 4 to 4096 bytes, and a per-position hash-chain probe budget.
 #pragma once
 
 #include <cstddef>
@@ -17,10 +20,6 @@ namespace eblcio {
 struct LzOptions {
   // Maximum hash-chain probes per position; higher = better ratio, slower.
   int max_probes = 32;
-  // Window size in bytes (power of two).
-  std::size_t window = 1u << 16;
-  // Minimum match length worth encoding.
-  int min_match = 4;
 };
 
 // Compresses `data` into a self-describing blob.

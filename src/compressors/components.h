@@ -47,7 +47,7 @@ enum class QuantizerId : std::uint8_t {
 inline constexpr int kNumQuantizers = 3;
 
 enum class EncoderId : std::uint8_t {
-  kHuffman = 0,     // canonical Huffman, per-bit canonical decode
+  kHuffman = 0,     // kHuffmanLut's bitstream behind wire tag 4
   kHuffmanLut = 1,  // canonical Huffman, multi-symbol LUT decode
   kHuffmanLz = 2,   // Huffman then LZ77, smaller of the two (legacy SZ)
   kLz = 3,          // LZ77 over width-packed raw codes

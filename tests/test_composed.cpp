@@ -529,6 +529,39 @@ TEST(ComposedFuzz, EncoderPayloadMismatchRaisesCorruptStream) {
                  "valid but mismatched backend tag");
 }
 
+TEST(ComposedFuzz, HuffmanTag4DecodesThroughLutDecoder) {
+  // "huffman" frames its Huffman blob behind wire tag 4 and "huffman-lut"
+  // behind tag 0. Both carry the same bitstream and both decode through
+  // the one LUT decoder, so the fields must be bit-identical.
+  const auto m = mapped_blob("composed:lorenzo1+linear-recip+huffman");
+  const auto lut = mapped_blob("composed:lorenzo1+linear-recip+huffman-lut");
+  ASSERT_EQ(static_cast<std::uint8_t>(m.blob[m.code_blob_off]),
+            kBackendHuffmanCanonical);
+  ASSERT_EQ(static_cast<std::uint8_t>(lut.blob[lut.code_blob_off]),
+            kBackendHuffman);
+  const auto huffman_blob = [](const ComposedBlobMap& b) {
+    ByteReader r(std::span<const std::byte>(b.blob).subspan(b.code_blob_off));
+    r.read_pod<std::uint8_t>();  // tag
+    return read_sized(r);
+  };
+  const auto tag4 = huffman_blob(m);
+  const auto tag0 = huffman_blob(lut);
+  EXPECT_TRUE(std::equal(tag4.begin(), tag4.end(), tag0.begin(), tag0.end()));
+  const Field a = decompress_any(m.blob, 1);
+  const Field b = decompress_any(lut.blob, 1);
+  EXPECT_TRUE(std::equal(a.bytes().begin(), a.bytes().end(),
+                         b.bytes().begin(), b.bytes().end()));
+
+  // One flipped byte inside the Huffman blob, past the tag and its size:
+  // the low byte of the blob's alphabet size ([u64 count][u32 alphabet]),
+  // which the run-length code-length table then no longer covers.
+  const std::size_t alphabet_off = m.code_blob_off + 1 + 8 + 8;
+  expect_corrupt(with_byte(m.blob, alphabet_off,
+                           static_cast<std::uint8_t>(m.blob[alphabet_off]) ^
+                               0xFFu),
+                 "flipped alphabet byte behind tag 4");
+}
+
 TEST(ComposedFuzz, ForgedCodeCountRaisesCorruptStream) {
   const auto m = mapped_blob("composed:lorenzo1+linear-recip+huffman");
   // Block payloads carry one code per element; +1 must be rejected.

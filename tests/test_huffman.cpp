@@ -1,5 +1,7 @@
 // Canonical Huffman codec tests: round-trips, degenerate alphabets,
-// compression effectiveness, corrupt-stream handling.
+// compression effectiveness, corrupt-stream handling, input limits, and
+// differential runs of the production encoder and decoder against the
+// test-only referees (referees/huffman_reference.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include "codec/huffman.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "referees/huffman_reference.h"
 
 namespace eblcio {
 namespace {
@@ -109,6 +112,15 @@ TEST(Huffman, RejectsOutOfAlphabetSymbolAtAnyPosition) {
     EXPECT_THROW(huffman_encode_reference(syms, 256), InvalidArgument)
         << "pos " << pos;
   }
+}
+
+TEST(Huffman, RejectsAlphabetAboveScratchLimit) {
+  // Alphabets past kHuffmanMaxAlphabet (2^17) are a checked error. The
+  // kHuffmanMaxSymbols check has no test: it needs a 32 GiB symbol vector.
+  const std::vector<std::uint32_t> syms = {0, 1, 1, 5, 70000};
+  EXPECT_THROW(huffman_encode(syms, (1u << 17) + 1), InvalidArgument);
+  // The largest accepted alphabet still round-trips.
+  EXPECT_EQ(roundtrip(syms, kHuffmanMaxAlphabet), syms);
 }
 
 TEST(Huffman, RejectsTruncatedBlob) {
@@ -371,10 +383,11 @@ TEST(HuffmanDifferential, ForgedCountTruncatesInsidePairRun) {
 // --- Hot encoder vs reference encoder (differential) -----------------------
 
 // The split-counter/batched-emit encoder must produce blobs BYTE-IDENTICAL
-// to the retained reference encoder — not merely decodable. Byte equality
-// is what keeps the 17 pinned reference blobs frozen: the hot path's
-// Moffat length pass falls back to the reference heap builder on any
-// tie-ambiguous merge, so the two paths can never canonicalize differently.
+// to the referee encoder — not merely decodable. Byte equality is what
+// keeps the 17 pinned reference blobs frozen: the hot path's Moffat length
+// pass falls back to its heap builder (heap_lengths_compact, the same
+// algorithm as the referee's huffman_code_lengths) on any tie-ambiguous
+// merge, so the two encoders can never canonicalize differently.
 
 void expect_encoders_agree(const std::vector<std::uint32_t>& syms,
                            std::uint32_t alphabet, const char* what) {
@@ -417,8 +430,8 @@ TEST(HuffmanEncoderDifferential, QuantizerAlphabetNormal) {
 
 TEST(HuffmanEncoderDifferential, FibonacciDepthForcesKraftFixup) {
   // Fibonacci frequencies drive depth past kMaxHuffmanBits, so the Moffat
-  // pass bails to the reference heap builder and its Kraft fix-up; the
-  // fallback must still be byte-identical.
+  // pass bails to the heap builder and its Kraft fix-up; the fallback must
+  // still be byte-identical to the referee.
   const int n = 48;
   Rng rng(17);
   std::vector<std::uint32_t> syms;

@@ -33,6 +33,7 @@
 #include "compressors/compressor.h"
 #include "compressors/interp_core.h"
 #include "data/dataset.h"
+#include "referees/huffman_reference.h"
 
 namespace eblcio {
 namespace {
