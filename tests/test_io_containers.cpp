@@ -63,6 +63,95 @@ TEST_P(ContainerRoundTrip, BlobThroughPfs) {
 INSTANTIATE_TEST_SUITE_P(BothLibraries, ContainerRoundTrip,
                          ::testing::Values("HDF5", "NetCDF"));
 
+// --- whole-file container pins ---------------------------------------------
+//
+// Exact container bytes (length + FNV-1a) and every IoCost double of the
+// whole-file write path, for each tool over a float field, a double field
+// and a blob large enough to split into two HDF5 chunks. The fields are
+// built from integer arithmetic only, so the pins do not depend on libm.
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+Field pin_float_field() {
+  NdArray<float> arr(Shape{6, 10, 14});
+  for (std::size_t i = 0; i < arr.num_elements(); ++i)
+    arr[i] = static_cast<float>((i * 2654435761u) % 1000) / 8.0f;
+  return Field("temp", std::move(arr));
+}
+
+Field pin_double_field() {
+  NdArray<double> arr(Shape{3, 5, 7, 9});
+  for (std::size_t i = 0; i < arr.num_elements(); ++i)
+    arr[i] = static_cast<double>((i * 40503u) % 977) / 16.0 - 20.0;
+  return Field("pressure", std::move(arr));
+}
+
+Bytes pin_blob() {
+  Bytes b((1u << 20) + 4321);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::byte>((i * 131 + (i >> 9)) & 0xff);
+  return b;
+}
+
+struct WholeFilePin {
+  const char* tool;
+  int payload;  // 0 = float field, 1 = double field, 2 = blob
+  std::size_t size;
+  std::uint64_t hash;
+  double prep_seconds;
+  double transfer_seconds;
+};
+
+constexpr WholeFilePin kWholeFilePins[] = {
+    {"HDF5", 0, 3428u, 0x26a6e5a46ed17913ull, 2.0571333333333334e-05,
+     0.00087122428571428587},
+    {"HDF5", 1, 7640u, 0x5d87f37edcc4df5full, 2.1273333333333335e-05,
+     0.00087272857142857159},
+    {"HDF5", 2, 1052987u, 0x269c355ca333fc5bull, 0.00019549783333333334,
+     0.001296066785714286},
+    {"NetCDF", 0, 3414u, 0x847ec94f2c82530eull, 6.3793333333333338e-05,
+     0.0024712192857142858},
+    {"NetCDF", 1, 7626u, 0xdd73a2f8fb32ea5aull, 6.8473333333333341e-05,
+     0.0024727235714285716},
+    {"NetCDF", 2, 1052965u, 0xdfa949ac2908475full, 0.0012299611111111111,
+     0.0028960589285714289},
+    {"ADIOS", 0, 3434u, 0x091abfee6bd4b3d0ull, 1.042925e-05,
+     0.0009212264285714287},
+    {"ADIOS", 1, 7646u, 0x545cca0f9546de70ull, 1.0955750000000001e-05,
+     0.00092273071428571442},
+    {"ADIOS", 2, 1052985u, 0x260b442c09a9c043ull, 0.000141623125,
+     0.0013460660714285715},
+};
+
+TEST(WholeFilePins, ContainerBytesAndCostsAreBitIdentical) {
+  for (const WholeFilePin& pin : kWholeFilePins) {
+    SCOPED_TRACE(std::string(pin.tool) + " payload " +
+                 std::to_string(pin.payload));
+    IoTool& tool = io_tool(pin.tool);
+    PfsSimulator pfs;
+    IoCost cost;
+    if (pin.payload == 0)
+      cost = tool.write_field(pfs, "/pin", pin_float_field());
+    if (pin.payload == 1)
+      cost = tool.write_field(pfs, "/pin", pin_double_field());
+    if (pin.payload == 2)
+      cost = tool.write_blob(pfs, "/pin", "ckpt", pin_blob());
+    const Bytes raw = pfs.read_file("/pin");
+    EXPECT_EQ(raw.size(), pin.size);
+    EXPECT_EQ(fnv1a(raw), pin.hash);
+    EXPECT_EQ(cost.prep_seconds, pin.prep_seconds);
+    EXPECT_EQ(cost.transfer_seconds, pin.transfer_seconds);
+    EXPECT_EQ(cost.bytes_written, pin.size);
+  }
+}
+
 TEST(H5Lite, MultiDatasetFile) {
   H5LiteFile file;
   H5Dataset a;
