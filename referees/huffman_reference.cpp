@@ -202,6 +202,10 @@ struct DecodeSetup {
   ByteReader r(blob);
   s.count = r.read_pod<std::uint64_t>();
   s.alphabet_size = r.read_pod<std::uint32_t>();
+  // The encoder emits at most kHuffmanMaxAlphabet symbols; a forged size
+  // must fail before it sizes the length table.
+  EBLCIO_CHECK_STREAM(s.alphabet_size <= kHuffmanMaxAlphabet,
+                      "huffman alphabet above kHuffmanMaxAlphabet");
   s.lengths = read_lengths_rle(r, s.alphabet_size);
   const auto payload_size = r.read_pod<std::uint64_t>();
   s.payload = r.read_bytes(payload_size);

@@ -226,6 +226,13 @@ Bytes lz_decompress(std::span<const std::byte> blob) {
   for (std::size_t i = 0; i < lit_syms.size(); ++i)
     lits[i] = static_cast<std::byte>(lit_syms[i]);
 
+  // Every token costs at least two varint bytes and adds at most kMaxMatch
+  // bytes beyond its literals, so the stream itself bounds the output: a
+  // forged orig_size fails here instead of sizing the reservation.
+  EBLCIO_CHECK_STREAM(ntokens <= r.remaining().size() / 2,
+                      "LZ token count exceeds the stream");
+  EBLCIO_CHECK_STREAM(orig_size <= lits.size() + ntokens * kMaxMatch,
+                      "LZ size exceeds what its tokens can produce");
   Bytes out;
   out.reserve(orig_size);
   std::size_t lit_pos = 0;

@@ -5,6 +5,12 @@
 // through the PFS simulator. The returned cost separates container
 // preparation time (real serialization work, charged as compute) from PFS
 // transfer time, because the two phases draw different power.
+//
+// There is one IoTool class; io_tool() holds one row per library (HDF5,
+// NetCDF, ADIOS), each a name, a ChunkProfile (how the library prices
+// staging and metadata syncs) and a whole-file byte layout. A whole-file
+// container holds exactly one dataset: a ChunkedDatasetMeta plus its
+// payload.
 #pragma once
 
 #include <map>
@@ -45,7 +51,7 @@ struct IoCost {
 // Dataset-level metadata carried by a chunked container.
 struct ChunkedDatasetMeta {
   std::string name;
-  std::uint8_t dtype_code = 2;  // same codes as H5Dataset / NcVariable
+  std::uint8_t dtype_code = 2;  // 0=float32, 1=float64, 2=opaque bytes
   std::vector<std::size_t> dims;  // logical dims of the full dataset
   std::map<std::string, std::string> attributes;
 };
@@ -75,26 +81,37 @@ struct ChunkIndex {
 
 class IoTool {
  public:
-  virtual ~IoTool() = default;
-  virtual std::string name() const = 0;
+  IoTool(const IoTool&) = delete;
+  IoTool& operator=(const IoTool&) = delete;
 
-  // Writes an uncompressed field as a dataset named field.name().
-  virtual IoCost write_field(PfsSimulator& pfs, const std::string& path,
-                             const Field& field,
-                             int concurrent_clients = 1) = 0;
+  const std::string& name() const { return name_; }
+
+  // --- whole-file datasets -----------------------------------------------
+  //
+  // The container is encoded in memory and written with one PFS write.
+  // Prep is the profile's per_chunk_prep_s plus the container bytes at
+  // prep_bandwidth_bps; transfer is the PFS write plus the metadata syncs
+  // the tool's layout performs. Readers throw CorruptStream on a malformed
+  // container.
+
+  // Writes an uncompressed field as a dataset named field.name() ("data"
+  // when the field is unnamed).
+  IoCost write_field(PfsSimulator& pfs, const std::string& path,
+                     const Field& field, int concurrent_clients = 1) const;
 
   // Writes an opaque compressed blob as a dataset with shape metadata.
-  virtual IoCost write_blob(PfsSimulator& pfs, const std::string& path,
-                            const std::string& dataset_name,
-                            std::span<const std::byte> blob,
-                            int concurrent_clients = 1) = 0;
+  IoCost write_blob(PfsSimulator& pfs, const std::string& path,
+                    const std::string& dataset_name,
+                    std::span<const std::byte> blob,
+                    int concurrent_clients = 1) const;
 
-  // Reads back the single dataset in `path` written by write_field.
-  virtual Field read_field(PfsSimulator& pfs, const std::string& path) = 0;
+  // Reads back the dataset in `path` written by write_field.
+  Field read_field(PfsSimulator& pfs, const std::string& path) const;
 
-  // Reads back a blob written by write_blob.
-  virtual Bytes read_blob(PfsSimulator& pfs, const std::string& path,
-                          const std::string& dataset_name) = 0;
+  // Reads back a blob written by write_blob; throws InvalidArgument when
+  // the container's dataset is not named `dataset_name`.
+  Bytes read_blob(PfsSimulator& pfs, const std::string& path,
+                  const std::string& dataset_name) const;
 
   // --- chunked-dataset streaming -----------------------------------------
 
@@ -236,9 +253,11 @@ class IoTool {
   ChunkReader open_chunked_reader(PfsSimulator& pfs, const std::string& path,
                                   int concurrent_clients = 1) const;
 
- protected:
-  // Per-tool chunk mechanics: how chunk staging is priced and which
-  // metadata syncs close() performs.
+ private:
+  friend IoTool& io_tool(const std::string& name);
+
+  // Per-tool mechanics: how chunk and container staging is priced and
+  // which metadata syncs a chunked close() performs.
   struct ChunkProfile {
     double prep_bandwidth_bps = 6.0e9;  // chunk staging/prep throughput
     double per_chunk_prep_s = 2.0e-5;   // fixed per-chunk prep
@@ -246,10 +265,27 @@ class IoTool {
     int close_footer_rpcs = 0;   // HDF5/ADIOS index commit (RPC each)
     bool staging_copy = false;   // chunk really staged through a buffer
   };
-  virtual ChunkProfile chunk_profile() const = 0;
+  // A whole-file byte layout (encode/decode pair); defined in io_tool.cpp.
+  struct Layout;
+
+  IoTool(std::string name, ChunkProfile profile, const Layout& layout)
+      : name_(std::move(name)), profile_(profile), layout_(&layout) {}
+
+  const ChunkProfile& chunk_profile() const { return profile_; }
+  IoCost write_dataset(PfsSimulator& pfs, const std::string& path,
+                       const ChunkedDatasetMeta& meta,
+                       std::span<const std::byte> payload,
+                       int concurrent_clients) const;
+  Bytes read_dataset(PfsSimulator& pfs, const std::string& path,
+                     ChunkedDatasetMeta& meta) const;
+
+  std::string name_;
+  ChunkProfile profile_;
+  const Layout* layout_;
 };
 
-// Registry: "HDF5" or "NetCDF" (case-insensitive).
+// Registry: "HDF5" / "h5", "NetCDF" / "nc" or "ADIOS" / "bp"
+// (case-insensitive); throws InvalidArgument for any other name.
 IoTool& io_tool(const std::string& name);
 const std::vector<std::string>& io_tool_names();
 

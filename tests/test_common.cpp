@@ -171,8 +171,18 @@ TEST(Bytes, PodRoundTrip) {
 TEST(Bytes, ReaderThrowsOnUnderrun) {
   Bytes b;
   append_pod<std::uint16_t>(b, 7);
+  append_pod<std::uint8_t>(b, 9);
   ByteReader r(b);
   EXPECT_THROW(r.read_pod<std::uint64_t>(), CorruptStream);
+  // Lengths that wrap `pos + n` at pos 2: SIZE_MAX is std::dynamic_extent
+  // (it would return the rest of the stream), SIZE_MAX - 1 an
+  // out-of-range span.
+  ASSERT_EQ(r.read_pod<std::uint16_t>(), 7);
+  EXPECT_THROW(r.read_bytes(SIZE_MAX), CorruptStream);
+  EXPECT_THROW(r.read_bytes(SIZE_MAX - 1), CorruptStream);
+  EXPECT_EQ(r.pos(), 2u);
+  EXPECT_EQ(r.read_bytes(1).size(), 1u);
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Table, AlignsColumns) {

@@ -123,6 +123,46 @@ TEST(Huffman, RejectsAlphabetAboveScratchLimit) {
   EXPECT_EQ(roundtrip(syms, kHuffmanMaxAlphabet), syms);
 }
 
+// A hand-built blob: count, alphabet, the run-length-coded code lengths
+// (u32 run count, then u8 length + u32 run each) and the payload.
+Bytes huffman_blob(std::uint64_t count, std::uint32_t alphabet,
+                   const std::vector<std::pair<std::uint8_t, std::uint32_t>>&
+                       runs,
+                   const Bytes& payload) {
+  Bytes blob;
+  append_pod<std::uint64_t>(blob, count);
+  append_pod<std::uint32_t>(blob, alphabet);
+  append_pod<std::uint32_t>(blob, static_cast<std::uint32_t>(runs.size()));
+  for (const auto& [len, run] : runs) {
+    append_pod<std::uint8_t>(blob, len);
+    append_pod<std::uint32_t>(blob, run);
+  }
+  append_pod<std::uint64_t>(blob, payload.size());
+  append_bytes(blob, payload);
+  return blob;
+}
+
+TEST(Huffman, DecodersRejectAlphabetAboveEncoderLimit) {
+  // No encoder emits an alphabet above kHuffmanMaxAlphabet, so both
+  // decoders reject one before sizing the length table — even when the
+  // rest of the blob is a well-formed two-symbol code.
+  const Bytes payload(1, std::byte{0});
+  const Bytes at_limit = huffman_blob(
+      1, kHuffmanMaxAlphabet, {{1, 2}, {0, kHuffmanMaxAlphabet - 2}}, payload);
+  EXPECT_EQ(huffman_decode(at_limit), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(huffman_decode_reference(at_limit), std::vector<std::uint32_t>{0});
+  const Bytes over = huffman_blob(
+      1, kHuffmanMaxAlphabet + 1, {{1, 2}, {0, kHuffmanMaxAlphabet - 1}},
+      payload);
+  EXPECT_THROW(huffman_decode(over), CorruptStream);
+  EXPECT_THROW(huffman_decode_reference(over), CorruptStream);
+  // The 29-byte blob that used to cost a 64 MiB length table.
+  const Bytes forged = huffman_blob(0, 1u << 26, {{0, 1u << 26}}, {});
+  ASSERT_EQ(forged.size(), 29u);
+  EXPECT_THROW(huffman_decode(forged), CorruptStream);
+  EXPECT_THROW(huffman_decode_reference(forged), CorruptStream);
+}
+
 TEST(Huffman, RejectsTruncatedBlob) {
   const std::vector<std::uint32_t> syms(100, 3);
   Bytes blob = huffman_encode(syms, 16);

@@ -1,11 +1,13 @@
-// H5Lite / NcLite container tests: round-trips through the PFS, format
-// metadata, and the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism).
+// HDF5 / NetCDF / ADIOS container tests: whole-file and chunked
+// round-trips through the PFS, byte layouts and forged-input rejection, and
+// the modeled HDF5-vs-NetCDF cost gap (Fig. 11 mechanism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/error.h"
-#include "io/h5lite.h"
 #include "io/io_tool.h"
-#include "io/nclite.h"
 #include "test_util.h"
 
 namespace eblcio {
@@ -152,69 +154,222 @@ TEST(WholeFilePins, ContainerBytesAndCostsAreBitIdentical) {
   }
 }
 
-TEST(H5Lite, MultiDatasetFile) {
-  H5LiteFile file;
-  H5Dataset a;
-  a.name = "alpha";
-  a.dtype_code = 0;
-  a.dims = {4};
-  a.data = Bytes(16, std::byte{1});
-  a.attributes["units"] = "K";
-  file.add_dataset(a);
-  H5Dataset b;
-  b.name = "beta";
-  b.dtype_code = 2;
-  b.dims = {9};
-  b.data = Bytes(9, std::byte{2});
-  file.add_dataset(b);
+// --- whole-file containers through the public API -------------------------
+//
+// Corruption tests write a container, fetch its bytes with pfs.read_file,
+// edit them, put them back with pfs.write_file and read again.
 
-  const Bytes encoded = file.encode();
-  const H5LiteFile back = H5LiteFile::decode(encoded);
-  ASSERT_EQ(back.datasets().size(), 2u);
-  EXPECT_EQ(back.dataset("alpha").attributes.at("units"), "K");
-  EXPECT_EQ(back.dataset("beta").data, b.data);
-  EXPECT_THROW(back.dataset("gamma"), InvalidArgument);
+template <typename Edit>
+void edit_container(PfsSimulator& pfs, const std::string& path, Edit edit) {
+  Bytes raw = pfs.read_file(path);
+  edit(raw);
+  pfs.write_file(path, raw);
 }
 
-TEST(H5Lite, ChunkedLayoutSplitsLargeData) {
-  H5LiteFile file;
-  H5Dataset d;
-  d.name = "big";
-  d.dtype_code = 2;
-  d.dims = {3u << 20};
-  d.data = Bytes(3u << 20, std::byte{7});
-  file.add_dataset(std::move(d));
-  const Bytes encoded = file.encode();
-  const H5LiteFile back = H5LiteFile::decode(encoded);
-  EXPECT_EQ(back.dataset("big").data.size(), 3u << 20);
+void put_u64(Bytes& raw, std::size_t at, std::uint64_t v) {
+  std::memcpy(raw.data() + at, &v, sizeof(v));
 }
 
-TEST(H5Lite, RejectsCorruptMagic) {
-  Bytes bad(16, std::byte{0});
-  EXPECT_THROW(H5LiteFile::decode(bad), CorruptStream);
+std::uint64_t get_u64(const Bytes& raw, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, raw.data() + at, sizeof(v));
+  return v;
 }
 
-TEST(NcLite, HeaderThenDataLayout) {
-  NcLiteFile file;
-  NcVariable v;
-  v.name = "temp";
-  v.dtype_code = 0;
-  v.dims = {2, 3};
-  v.data = Bytes(24, std::byte{5});
-  v.attributes["units"] = "degC";
-  file.add_variable(std::move(v));
-
-  int syncs = 0;
-  const Bytes encoded = file.encode(&syncs);
-  EXPECT_EQ(syncs, 2);  // enddef + close for one variable
-  const NcLiteFile back = NcLiteFile::decode(encoded);
-  EXPECT_EQ(back.variable("temp").attributes.at("units"), "degC");
-  EXPECT_EQ(back.variable("temp").data.size(), 24u);
+Bytes pattern_blob(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::byte>((i * 37 + 11) & 0xff);
+  return b;
 }
 
-TEST(NcLite, RejectsCorruptMagic) {
-  Bytes bad(16, std::byte{9});
-  EXPECT_THROW(NcLiteFile::decode(bad), CorruptStream);
+// Where the dataset count sits: after the HDF5 magic + version, after the
+// NetCDF magic, after the ADIOS footer magic.
+std::size_t dataset_count_offset(const std::string& tool, const Bytes& raw) {
+  if (tool == "HDF5") return 6;
+  if (tool == "NetCDF") return 4;
+  return static_cast<std::size_t>(get_u64(raw, raw.size() - 8)) + 4;
+}
+
+class WholeFile : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WholeFile, MissingNameIsInvalidArgument) {
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  tool.write_blob(pfs, "/w/b", "alpha", pattern_blob(64));
+  EXPECT_EQ(tool.read_blob(pfs, "/w/b", "alpha"), pattern_blob(64));
+  EXPECT_THROW(tool.read_blob(pfs, "/w/b", "gamma"), InvalidArgument);
+}
+
+TEST_P(WholeFile, ContentAttributeRoundTrips) {
+  // write_blob tags the dataset content=eblc-compressed: the pair is in
+  // the container bytes, the reader walks past it to the payload, and a
+  // forged value length is caught.
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  const Bytes blob = pattern_blob(300);
+  tool.write_blob(pfs, "/w/a", "x", blob);
+  Bytes attr;
+  append_string(attr, "content");
+  append_string(attr, "eblc-compressed");
+  const Bytes raw = pfs.read_file("/w/a");
+  const auto at = std::search(raw.begin(), raw.end(), attr.begin(), attr.end());
+  ASSERT_NE(at, raw.end());
+  EXPECT_EQ(tool.read_blob(pfs, "/w/a", "x"), blob);
+
+  const std::size_t value_len =
+      static_cast<std::size_t>(at - raw.begin()) + 4 + 7;
+  edit_container(pfs, "/w/a", [&](Bytes& b) {
+    b[value_len] = std::byte{0xff};
+    b[value_len + 1] = std::byte{0xff};
+  });
+  EXPECT_THROW(tool.read_blob(pfs, "/w/a", "x"), CorruptStream);
+}
+
+TEST_P(WholeFile, RejectsCorruptMagic) {
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  tool.write_blob(pfs, "/w/b", "x", pattern_blob(100));
+  tool.write_field(pfs, "/w/f", smooth_field_3d(8));
+  for (const char* path : {"/w/b", "/w/f"})
+    edit_container(pfs, path, [](Bytes& b) { b[0] ^= std::byte{0x5a}; });
+  EXPECT_THROW(tool.read_blob(pfs, "/w/b", "x"), CorruptStream);
+  EXPECT_THROW(tool.read_field(pfs, "/w/f"), CorruptStream);
+  pfs.write_file("/w/zero", Bytes(16, std::byte{0}));
+  EXPECT_THROW(tool.read_blob(pfs, "/w/zero", "x"), CorruptStream);
+}
+
+TEST_P(WholeFile, RejectsDatasetCountOtherThanOne) {
+  // A whole-file container holds exactly one dataset; the u32 count stays
+  // in the bytes and any other value is corrupt.
+  IoTool& tool = io_tool(GetParam());
+  for (std::uint32_t count : {0u, 2u, 0xffffffffu}) {
+    PfsSimulator pfs;
+    tool.write_blob(pfs, "/w/b", "x", pattern_blob(100));
+    tool.write_field(pfs, "/w/f", smooth_field_3d(8));
+    for (const char* path : {"/w/b", "/w/f"}) {
+      edit_container(pfs, path, [&](Bytes& b) {
+        const std::size_t at = dataset_count_offset(GetParam(), b);
+        ASSERT_EQ(b[at], std::byte{1});
+        std::memcpy(b.data() + at, &count, sizeof(count));
+      });
+    }
+    EXPECT_THROW(tool.read_blob(pfs, "/w/b", "x"), CorruptStream);
+    EXPECT_THROW(tool.read_field(pfs, "/w/f"), CorruptStream);
+  }
+}
+
+TEST_P(WholeFile, TransferIsWritePlusLayoutSyncs) {
+  // NetCDF rewrites its header at enddef and close (two opens), ADIOS
+  // commits its footer index (one RPC), and HDF5's inline chunk table needs
+  // no separate commit.
+  IoTool& tool = io_tool(GetParam());
+  PfsSimulator pfs;
+  const IoCost cost = tool.write_blob(pfs, "/w/b", "x", pattern_blob(5000));
+  PfsSimulator replay;
+  const double write_s =
+      replay.write_file("/w/b", pfs.read_file("/w/b")).seconds;
+  const PfsConfig& c = pfs.config();
+  double expected = write_s;
+  if (GetParam() == "NetCDF") expected += 2 * c.open_latency_s;
+  if (GetParam() == "ADIOS") expected += c.rpc_latency_s;
+  EXPECT_EQ(cost.transfer_seconds, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLibraries, WholeFile,
+                         ::testing::Values("HDF5", "NetCDF", "ADIOS"));
+
+TEST(WholeFileLayouts, PayloadPlacement) {
+  // NetCDF: header then data; ADIOS: data (after the magic) then footer;
+  // HDF5: metadata then the length-prefixed chunk.
+  const Bytes blob = pattern_blob(777);
+  PfsSimulator pfs;
+  for (const char* t : {"HDF5", "NetCDF", "ADIOS"})
+    io_tool(t).write_blob(pfs, std::string("/l/") + t, "x", blob);
+  const Bytes nc = pfs.read_file("/l/NetCDF");
+  EXPECT_TRUE(std::equal(blob.begin(), blob.end(), nc.end() - 777));
+  const Bytes bp = pfs.read_file("/l/ADIOS");
+  EXPECT_TRUE(std::equal(blob.begin(), blob.end(), bp.begin() + 4));
+  const Bytes h5 = pfs.read_file("/l/HDF5");
+  EXPECT_TRUE(std::equal(blob.begin(), blob.end(), h5.end() - 777));
+  EXPECT_EQ(get_u64(h5, h5.size() - 777 - 8), 777u);
+}
+
+TEST(WholeFileLayouts, HDF5ChunkTableSplitsLargeData) {
+  // 3 MiB lands as three 1 MiB chunks: two more u64 length prefixes than a
+  // one-chunk dataset.
+  PfsSimulator pfs;
+  const Bytes big = pattern_blob(3u << 20);
+  io_tool("HDF5").write_blob(pfs, "/h5/big", "big", big);
+  io_tool("HDF5").write_blob(pfs, "/h5/small", "big", pattern_blob(1));
+  EXPECT_EQ(pfs.read_file("/h5/big").size() -
+                pfs.read_file("/h5/small").size(),
+            (3u << 20) - 1 + 2 * 8);
+  EXPECT_EQ(io_tool("HDF5").read_blob(pfs, "/h5/big", "big"), big);
+}
+
+// --- forged whole-file containers ------------------------------------------
+//
+// Each forgery is applied to a blob container and to a field container and
+// must surface as CorruptStream from read_blob and read_field.
+
+template <typename Forge>
+void expect_forgery_rejected(const std::string& tool_name, Forge forge) {
+  IoTool& tool = io_tool(tool_name);
+  PfsSimulator pfs;
+  const Field f = smooth_field_3d(12);
+  tool.write_blob(pfs, "/forged/b", "x", pattern_blob(4000));
+  tool.write_field(pfs, "/forged/f", f);
+  edit_container(pfs, "/forged/b", [&](Bytes& b) { forge(b, 4000); });
+  edit_container(pfs, "/forged/f",
+                 [&](Bytes& b) { forge(b, f.size_bytes()); });
+  EXPECT_THROW(tool.read_blob(pfs, "/forged/b", "x"), CorruptStream);
+  EXPECT_THROW(tool.read_field(pfs, "/forged/f"), CorruptStream);
+}
+
+TEST(ForgedWholeFile, AdiosSegmentOffsetThatWrapsThrows) {
+  // Footer tail: ..., u64 offset, u64 size, u64 footer_start. offset + size
+  // wraps to 8, which a sum-based bound would accept.
+  expect_forgery_rejected("ADIOS", [](Bytes& b, std::size_t) {
+    put_u64(b, b.size() - 24, ~std::uint64_t{0} - 7);
+    put_u64(b, b.size() - 16, 16);
+  });
+}
+
+TEST(ForgedWholeFile, AdiosFooterStartThatWrapsThrows) {
+  // footer_start + 8 wraps to 4.
+  expect_forgery_rejected("ADIOS", [](Bytes& b, std::size_t) {
+    put_u64(b, b.size() - 8, ~std::uint64_t{0} - 3);
+  });
+}
+
+TEST(ForgedWholeFile, FieldDimsPastThePayloadThrow) {
+  // The leading dim forged to 2^40: read_field must reject it against the
+  // payload size before it allocates the array.
+  for (const char* t : {"HDF5", "NetCDF", "ADIOS"}) {
+    SCOPED_TRACE(t);
+    PfsSimulator pfs;
+    io_tool(t).write_field(pfs, "/forged/f", smooth_field_3d(12));
+    edit_container(pfs, "/forged/f", [](Bytes& b) {
+      Bytes dims;
+      for (int i = 0; i < 3; ++i) append_pod<std::uint64_t>(dims, 12);
+      const auto at = std::search(b.begin(), b.end(), dims.begin(), dims.end());
+      ASSERT_NE(at, b.end());
+      put_u64(b, static_cast<std::size_t>(at - b.begin()),
+              std::uint64_t{1} << 40);
+    });
+    EXPECT_THROW(io_tool(t).read_field(pfs, "/forged/f"), CorruptStream);
+  }
+}
+
+TEST(ForgedWholeFile, HDF5DatasetTotalPastTheFileThrows) {
+  // Tail: u64 total, u32 nchunks, u64 chunk length, payload. A 2^45 total
+  // must not size an allocation.
+  expect_forgery_rejected("HDF5", [](Bytes& b, std::size_t payload) {
+    const std::size_t total_at = b.size() - payload - 8 - 4 - 8;
+    ASSERT_EQ(get_u64(b, total_at), payload);
+    put_u64(b, total_at, std::uint64_t{1} << 45);
+  });
 }
 
 TEST(IoCosts, NetCdfCostsMoreThanHdf5) {

@@ -127,6 +127,25 @@ TEST(Lz77, RejectsForgedHugeTokenLengths) {
   EXPECT_THROW(lz_decompress(forge(2, huge, 2)), CorruptStream);
 }
 
+TEST(Lz77, RejectsForgedOrigSizeWithoutReserving) {
+  // orig_size (the u64 after the magic) forged to 2^45 must fail as a
+  // corrupt stream, not as a 32 TiB reservation.
+  Bytes data(100);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::byte>(i % 7);
+  Bytes blob = lz_compress(data);
+  const std::uint64_t forged = std::uint64_t{1} << 45;
+  std::memcpy(blob.data() + 4, &forged, sizeof forged);
+  EXPECT_THROW(lz_decompress(blob), CorruptStream);
+  // So must a token count the stream cannot hold (the u64 after the
+  // literal blob).
+  blob = lz_compress(data);
+  std::uint64_t lit_size = 0;
+  std::memcpy(&lit_size, blob.data() + 12, sizeof lit_size);
+  std::memcpy(blob.data() + 20 + lit_size, &forged, sizeof forged);
+  EXPECT_THROW(lz_decompress(blob), CorruptStream);
+}
+
 TEST(Lz77, ProbeDepthTradesRatioForSpeed) {
   std::string s;
   Rng rng(6);

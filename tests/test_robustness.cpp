@@ -6,8 +6,7 @@
 
 #include "common/rng.h"
 #include "compressors/compressor.h"
-#include "io/h5lite.h"
-#include "io/nclite.h"
+#include "io/io_tool.h"
 #include "metrics/error_stats.h"
 #include "test_util.h"
 
@@ -97,38 +96,28 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("SZ2", "SZ3", "ZFP", "QoZ", "SZx", "zstd", "C-Blosc2",
                       "fpzip", "FPC"));
 
-TEST(ContainerRobustness, H5LiteTruncation) {
-  H5LiteFile file;
-  H5Dataset d;
-  d.name = "x";
-  d.dtype_code = 2;
-  d.dims = {4096};
-  d.data = Bytes(4096, std::byte{0x41});
-  file.add_dataset(std::move(d));
-  const Bytes good = file.encode();
-  Rng rng(7);
+// Writes a blob container, then rewrites it cut to random prefixes: every
+// read of a cut container must throw.
+void expect_truncation_throws(const std::string& tool_name, std::byte fill,
+                              std::uint64_t seed) {
+  IoTool& tool = io_tool(tool_name);
+  PfsSimulator pfs;
+  tool.write_blob(pfs, "/t/good", "x", Bytes(4096, fill));
+  const Bytes good = pfs.read_file("/t/good");
+  Rng rng(seed);
   for (int trial = 0; trial < 30; ++trial) {
-    Bytes cut(good.begin(),
-              good.begin() + rng.next_below(good.size()));
-    EXPECT_THROW(H5LiteFile::decode(cut), Error);
+    const Bytes cut(good.begin(), good.begin() + rng.next_below(good.size()));
+    pfs.write_file("/t/cut", cut);
+    EXPECT_THROW(tool.read_blob(pfs, "/t/cut", "x"), Error);
   }
 }
 
-TEST(ContainerRobustness, NcLiteTruncation) {
-  NcLiteFile file;
-  NcVariable v;
-  v.name = "x";
-  v.dtype_code = 2;
-  v.dims = {4096};
-  v.data = Bytes(4096, std::byte{0x42});
-  file.add_variable(std::move(v));
-  const Bytes good = file.encode();
-  Rng rng(8);
-  for (int trial = 0; trial < 30; ++trial) {
-    Bytes cut(good.begin(),
-              good.begin() + rng.next_below(good.size()));
-    EXPECT_THROW(NcLiteFile::decode(cut), Error);
-  }
+TEST(ContainerRobustness, HDF5Truncation) {
+  expect_truncation_throws("HDF5", std::byte{0x41}, 7);
+}
+
+TEST(ContainerRobustness, NetCDFTruncation) {
+  expect_truncation_throws("NetCDF", std::byte{0x42}, 8);
 }
 
 TEST(CrossCodec, WrongCodecHeaderIsRejectedOrStructured) {
