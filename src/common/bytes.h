@@ -36,8 +36,6 @@ inline void append_string(Bytes& out, const std::string& s) {
 }
 
 // Sequential reader over a byte span; throws CorruptStream on underrun.
-// Every bound is checked as `n <= size - pos` (pos never passes size), so a
-// forged length near SIZE_MAX cannot wrap the check.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::byte> data) : data_(data) {}
@@ -45,7 +43,7 @@ class ByteReader {
   template <typename T>
   T read_pod() {
     static_assert(std::is_trivially_copyable_v<T>);
-    EBLCIO_CHECK_STREAM(sizeof(T) <= data_.size() - pos_,
+    EBLCIO_CHECK_STREAM(pos_ + sizeof(T) <= data_.size(),
                         "unexpected end of stream");
     T v;
     std::memcpy(&v, data_.data() + pos_, sizeof(T));
@@ -55,13 +53,15 @@ class ByteReader {
 
   std::string read_string() {
     const auto n = read_pod<std::uint32_t>();
-    EBLCIO_CHECK_STREAM(n <= data_.size() - pos_, "unexpected end of stream");
+    EBLCIO_CHECK_STREAM(pos_ + n <= data_.size(), "unexpected end of stream");
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
   }
 
   std::span<const std::byte> read_bytes(std::size_t n) {
+    // Checked as a difference (pos_ never passes the size): a forged length
+    // near SIZE_MAX would wrap `pos_ + n`.
     EBLCIO_CHECK_STREAM(n <= data_.size() - pos_, "unexpected end of stream");
     auto s = data_.subspan(pos_, n);
     pos_ += n;
