@@ -328,11 +328,6 @@ IoCost IoTool::write_dataset(PfsSimulator& pfs, const std::string& path,
   return cost;
 }
 
-Bytes IoTool::read_dataset(PfsSimulator& pfs, const std::string& path,
-                           ChunkedDatasetMeta& meta) const {
-  return layout_->decode(pfs.read_file(path), meta);
-}
-
 IoCost IoTool::write_field(PfsSimulator& pfs, const std::string& path,
                            const Field& field, int concurrent_clients) const {
   ChunkedDatasetMeta meta;
@@ -355,7 +350,7 @@ IoCost IoTool::write_blob(PfsSimulator& pfs, const std::string& path,
 
 Field IoTool::read_field(PfsSimulator& pfs, const std::string& path) const {
   ChunkedDatasetMeta meta;
-  const Bytes data = read_dataset(pfs, path, meta);
+  const Bytes data = layout_->decode(pfs.read_file(path), meta);
   EBLCIO_CHECK_STREAM(meta.dtype_code <= 1,
                       name_ + " container: dataset is not a field");
   const Shape shape{std::span<const std::size_t>(meta.dims)};
@@ -367,7 +362,7 @@ Field IoTool::read_field(PfsSimulator& pfs, const std::string& path) const {
 Bytes IoTool::read_blob(PfsSimulator& pfs, const std::string& path,
                         const std::string& dataset_name) const {
   ChunkedDatasetMeta meta;
-  Bytes data = read_dataset(pfs, path, meta);
+  Bytes data = layout_->decode(pfs.read_file(path), meta);
   EBLCIO_CHECK_ARG(meta.name == dataset_name,
                    name_ + " container: no dataset named " + dataset_name);
   return data;

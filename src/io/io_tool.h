@@ -276,8 +276,6 @@ class IoTool {
                        const ChunkedDatasetMeta& meta,
                        std::span<const std::byte> payload,
                        int concurrent_clients) const;
-  Bytes read_dataset(PfsSimulator& pfs, const std::string& path,
-                     ChunkedDatasetMeta& meta) const;
 
   std::string name_;
   ChunkProfile profile_;
