@@ -1,6 +1,7 @@
 // Seed reference blobs: 17 deterministic compression cases whose encoded
 // blob AND decoded reconstruction are pinned by FNV-1a hash, plus 15
-// block-engine cases (kBlockPinned) pinned the same way.
+// block-engine cases (kBlockPinned) and 4 multi-slab chunked cases
+// (kChunkedPinned) pinned the same way.
 //
 // The wire formats of every codec in the library are frozen: kernel
 // optimizations (table-driven Huffman, multi-symbol LUT packing,
@@ -99,6 +100,17 @@ constexpr PinnedCase kPinned[] = {
     {"szx_3d_f32", 0xfdae947bbd03bc52ULL, 0xb9f57fec561e5609ULL},
 };
 
+// Multi-slab decode pins: the chunked layout of every slab-parallel codec
+// ({32,32,32}, 4 threads, so 4 slabs of 8 rows). Captured while every
+// slab still decoded into a Field of its own that a merge then copied into
+// the output, so they also pin any rework of how slabs are placed.
+constexpr PinnedCase kChunkedPinned[] = {
+    {"sz3_3d_f32_chunked", 0x827d822b0b4558f3ULL, 0x9cf8425c3676c483ULL},
+    {"qoz_3d_f32_chunked", 0xa9d3d9e659729237ULL, 0x9cf8425c3676c483ULL},
+    {"szx_3d_f32_chunked", 0x1f2a070c80196abcULL, 0xb9f57fec561e5609ULL},
+    {"ilinear_3d_f32_chunked", 0x2b732d36c1bbfa9dULL, 0xd42e9e7fa7bed943ULL},
+};
+
 // Block-engine decode pins: every block-engine predictor order and
 // quantizer family, ragged 1D-4D shapes (no dimension a multiple of its
 // block edge), f32 and f64, with planted outliers that force code 0 at a
@@ -132,6 +144,8 @@ const PinnedCase& pinned(const char* name) {
   for (const auto& c : kPinned)
     if (std::string_view(c.name) == name) return c;
   for (const auto& c : kBlockPinned)
+    if (std::string_view(c.name) == name) return c;
+  for (const auto& c : kChunkedPinned)
     if (std::string_view(c.name) == name) return c;
   ADD_FAILURE() << "no pinned case named " << name;
   static PinnedCase none{"", 0, 0};
@@ -250,11 +264,15 @@ TEST(ReferenceBlobs, Sz3) {
   check_codec_case("sz3_1d_f32", "SZ3", DType::kFloat32, {4096}, 1);
   check_codec_case("sz3_2d_f32", "SZ3", DType::kFloat32, {96, 96}, 1);
   check_codec_case("sz3_3d_f32", "SZ3", DType::kFloat32, {32, 32, 32}, 1);
+  check_codec_case("sz3_3d_f32_chunked", "SZ3", DType::kFloat32,
+                   {32, 32, 32}, 4);
 }
 
 TEST(ReferenceBlobs, QoZ) {
   check_codec_case("qoz_2d_f32", "QoZ", DType::kFloat32, {96, 96}, 1);
   check_codec_case("qoz_3d_f32", "QoZ", DType::kFloat32, {32, 32, 32}, 1);
+  check_codec_case("qoz_3d_f32_chunked", "QoZ", DType::kFloat32,
+                   {32, 32, 32}, 4);
 }
 
 TEST(ReferenceBlobs, Zfp) {
@@ -264,6 +282,14 @@ TEST(ReferenceBlobs, Zfp) {
 
 TEST(ReferenceBlobs, Szx) {
   check_codec_case("szx_3d_f32", "SZx", DType::kFloat32, {32, 32, 32}, 1);
+  check_codec_case("szx_3d_f32_chunked", "SZx", DType::kFloat32,
+                   {32, 32, 32}, 4);
+}
+
+TEST(ReferenceBlobs, ComposedInterpChunked) {
+  check_codec_case("ilinear_3d_f32_chunked",
+                   "composed:interp-linear+linear+huffman-lz",
+                   DType::kFloat32, {32, 32, 32}, 4);
 }
 
 // --- Component-framework equivalence ---------------------------------------
