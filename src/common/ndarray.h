@@ -1,8 +1,5 @@
 // Dense row-major k-dimensional array (k <= 4), the in-memory form of every
 // scientific field handled by the library.
-//
-// NdArray<T> owns its buffer; NdView<T> is a non-owning shape+pointer pair
-// used by compressors so they can operate on sub-fields without copies.
 #pragma once
 
 #include <array>
@@ -10,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -85,37 +83,6 @@ class Shape {
   std::array<std::size_t, kMaxDims> dims_{};
 };
 
-// Non-owning typed view over a dense row-major buffer.
-template <typename T>
-class NdView {
- public:
-  NdView(T* data, Shape shape) : data_(data), shape_(shape) {
-    EBLCIO_CHECK_ARG(data != nullptr, "NdView over null buffer");
-  }
-
-  const Shape& shape() const { return shape_; }
-  int ndims() const { return shape_.ndims(); }
-  std::size_t num_elements() const { return shape_.num_elements(); }
-
-  T* data() const { return data_; }
-  std::span<T> span() const { return {data_, num_elements()}; }
-
-  T& operator[](std::size_t linear) const { return data_[linear]; }
-
-  // Multi-index access; unused trailing indices must be 0.
-  T& at(std::size_t i0, std::size_t i1 = 0, std::size_t i2 = 0,
-        std::size_t i3 = 0) const {
-    const auto s = shape_.strides();
-    return data_[i0 * s[0] + (shape_.ndims() > 1 ? i1 * s[1] : 0) +
-                 (shape_.ndims() > 2 ? i2 * s[2] : 0) +
-                 (shape_.ndims() > 3 ? i3 * s[3] : 0)];
-  }
-
- private:
-  T* data_;
-  Shape shape_;
-};
-
 // Owning dense row-major array.
 template <typename T>
 class NdArray {
@@ -142,16 +109,17 @@ class NdArray {
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
 
-  NdView<T> view() { return NdView<T>(data_.data(), shape_); }
-  NdView<const T> view() const { return NdView<const T>(data_.data(), shape_); }
-
-  T& at(std::size_t i0, std::size_t i1 = 0, std::size_t i2 = 0,
-        std::size_t i3 = 0) {
-    return view().at(i0, i1, i2, i3);
-  }
+  // Multi-index access; unused trailing indices must be 0.
   const T& at(std::size_t i0, std::size_t i1 = 0, std::size_t i2 = 0,
               std::size_t i3 = 0) const {
-    return view().at(i0, i1, i2, i3);
+    const auto s = shape_.strides();
+    const int nd = shape_.ndims();
+    return data_[i0 * s[0] + (nd > 1 ? i1 * s[1] : 0) +
+                 (nd > 2 ? i2 * s[2] : 0) + (nd > 3 ? i3 * s[3] : 0)];
+  }
+  T& at(std::size_t i0, std::size_t i1 = 0, std::size_t i2 = 0,
+        std::size_t i3 = 0) {
+    return const_cast<T&>(std::as_const(*this).at(i0, i1, i2, i3));
   }
 
   std::vector<T>&& take() && { return std::move(data_); }

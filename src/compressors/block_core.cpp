@@ -9,6 +9,7 @@
 
 #include "common/buffer_pool.h"
 #include "common/error.h"
+#include "compressors/chunking.h"
 
 namespace eblcio {
 namespace {
@@ -606,20 +607,17 @@ BlockEncoding compress_impl(const NdArray<T>& arr, const Q& quant,
   return enc;
 }
 
+// Decodes a slab shaped header.dims into `recon` (its first output row).
+// The walker only reads elements it has already written, each holding the
+// T value compress kept in its own reconstruction buffer.
 template <typename T, typename Q, typename Cache>
-Field decompress_impl(const BlobHeader& header, const Q& quant,
-                      BlockPredictor pred,
-                      std::span<const std::uint32_t> codes,
-                      std::span<const std::byte> mode_bits,
-                      ByteReader& coeffs, ByteReader& unpred) {
+void decompress_impl(const BlobHeader& header, const Q& quant,
+                     BlockPredictor pred,
+                     std::span<const std::uint32_t> codes,
+                     std::span<const std::byte> mode_bits,
+                     ByteReader& coeffs, ByteReader& unpred, T* const recon) {
   const Geometry g = Geometry::from_dims(header.dims);
   const bool reg_allowed = regression_allowed(pred, g.real_dims);
-
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  // Decoding reconstructs straight into the output: the walker only reads
-  // elements it has already written, and each holds exactly the T value
-  // compress kept in its own reconstruction buffer.
-  T* const recon = arr.data();
 
   // All boundary stencils precomputed once; rows index by depth signature.
   const Cache stencils(g);
@@ -662,7 +660,6 @@ Field decompress_impl(const BlobHeader& header, const Q& quant,
           code_idx += n;
         });
   }
-  return Field(header.codec, std::move(arr));
 }
 
 template <typename T, typename Q>
@@ -671,19 +668,6 @@ BlockEncoding compress_cache_dispatch(const NdArray<T>& arr, const Q& quant,
   if (pred == BlockPredictor::kLorenzo2)
     return compress_impl<T, Q, Stencil2Cache>(arr, quant, pred);
   return compress_impl<T, Q, StencilCache>(arr, quant, pred);
-}
-
-template <typename T, typename Q>
-Field decompress_cache_dispatch(const BlobHeader& header, const Q& quant,
-                                BlockPredictor pred,
-                                std::span<const std::uint32_t> codes,
-                                std::span<const std::byte> mode_bits,
-                                ByteReader& coeffs, ByteReader& unpred) {
-  if (pred == BlockPredictor::kLorenzo2)
-    return decompress_impl<T, Q, Stencil2Cache>(header, quant, pred, codes,
-                                                mode_bits, coeffs, unpred);
-  return decompress_impl<T, Q, StencilCache>(header, quant, pred, codes,
-                                             mode_bits, coeffs, unpred);
 }
 
 }  // namespace
@@ -699,21 +683,37 @@ BlockEncoding block_compress(const Field& field, double abs_eb,
   });
 }
 
+void block_decompress_rows(const BlobHeader& slab, BlockPredictor pred,
+                           QuantizerId quant, double quant_param,
+                           std::span<const std::uint32_t> codes,
+                           std::span<const std::byte> mode_bits,
+                           ByteReader& coeffs, ByteReader& unpred, Field& out,
+                           std::size_t row0) {
+  with_quantizer(quant, slab.abs_error_bound, quant_param, [&](auto q) {
+    const auto decode = [&]<typename T>(T* recon) {
+      if (pred == BlockPredictor::kLorenzo2)
+        decompress_impl<T, decltype(q), Stencil2Cache>(
+            slab, q, pred, codes, mode_bits, coeffs, unpred, recon);
+      else
+        decompress_impl<T, decltype(q), StencilCache>(
+            slab, q, pred, codes, mode_bits, coeffs, unpred, recon);
+    };
+    if (slab.dtype == DType::kFloat32)
+      decode(slab_data<float>(out, slab, row0));
+    else
+      decode(slab_data<double>(out, slab, row0));
+  });
+}
+
 Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        QuantizerId quant, double quant_param,
                        std::span<const std::uint32_t> codes,
                        std::span<const std::byte> mode_bits,
                        ByteReader& coeffs, ByteReader& unpred) {
-  return with_quantizer(quant, header.abs_error_bound, quant_param,
-                        [&](auto q) {
-                          return header.dtype == DType::kFloat32
-                                     ? decompress_cache_dispatch<float>(
-                                           header, q, pred, codes, mode_bits,
-                                           coeffs, unpred)
-                                     : decompress_cache_dispatch<double>(
-                                           header, q, pred, codes, mode_bits,
-                                           coeffs, unpred);
-                        });
+  Field out = allocate_output(header);
+  block_decompress_rows(header, pred, quant, quant_param, codes, mode_bits,
+                        coeffs, unpred, out, 0);
+  return out;
 }
 
 }  // namespace eblcio

@@ -52,10 +52,18 @@ BlockEncoding block_compress(const Field& field, double abs_eb,
                              BlockPredictor pred, QuantizerId quant,
                              double quant_param);
 
-// Reconstructs a field from streams produced by block_compress with the
-// same (dims, abs_eb, pred, quant, quant_param). The returned Field is
-// named after header.codec. Throws CorruptStream on truncated or
-// inconsistent streams.
+// Reconstructs a slab from streams produced by block_compress with the
+// same (slab.dims, abs_eb, pred, quant, quant_param) into its rows of
+// `out` from row0 on (placement checked by slab_data before any write).
+// Throws CorruptStream on truncated or inconsistent streams.
+void block_decompress_rows(const BlobHeader& slab, BlockPredictor pred,
+                           QuantizerId quant, double quant_param,
+                           std::span<const std::uint32_t> codes,
+                           std::span<const std::byte> mode_bits,
+                           ByteReader& coeffs, ByteReader& unpred, Field& out,
+                           std::size_t row0);
+
+// block_decompress_rows into a new field (see allocate_output).
 Field block_decompress(const BlobHeader& header, BlockPredictor pred,
                        QuantizerId quant, double quant_param,
                        std::span<const std::uint32_t> codes,

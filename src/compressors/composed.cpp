@@ -88,15 +88,18 @@ double read_component_header(ByteReader& r, const ComposedConfig& expect) {
 }
 
 // Decodes the encoder blob, checking its wire tag against the declared
-// encoder component first (decode_code_stream would accept any valid tag).
-std::vector<std::uint32_t> decode_codes_checked(ByteReader& r,
-                                                EncoderId enc) {
+// encoder component first (decode_code_stream would accept any valid tag)
+// and its code count against the payload's.
+std::vector<std::uint32_t> decode_codes_checked(ByteReader& r, EncoderId enc,
+                                                std::uint64_t ncodes) {
   const auto rest = r.remaining();
   EBLCIO_CHECK_STREAM(!rest.empty(), "composed: missing code stream");
   EBLCIO_CHECK_STREAM(
       backend_tag_matches(enc, static_cast<std::uint8_t>(rest[0])),
       "composed: encoder/payload mismatch");
-  return decode_code_stream(r);
+  auto codes = decode_code_stream(r);
+  EBLCIO_CHECK_STREAM(codes.size() == ncodes, "composed: code count mismatch");
+  return codes;
 }
 
 // The quantizer's field-dependent parameter, computed once over the whole
@@ -170,17 +173,7 @@ CompressorCaps ComposedCompressor::caps() const {
 
 Bytes ComposedCompressor::compress(const Field& field,
                                    const CompressOptions& opt) {
-  EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
-                   "composed codecs are error-bounded lossy compressors");
-
-  BlobHeader header;
-  header.codec = name_;
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
-
+  const BlobHeader header = lossy_header(name_, field, opt);
   const double quant_param = quant_param_for(config_.quantizer, field);
 
   return compress_chunked(
@@ -189,19 +182,17 @@ Bytes ComposedCompressor::compress(const Field& field,
                           const CompressOptions&) {
         Bytes payload;
         write_component_header(payload, config_, quant_param);
+        std::vector<std::uint32_t> codes;
         if (is_interp(config_.predictor)) {
-          const InterpEncoding enc = interp_compress(
+          InterpEncoding enc = interp_compress(
               slab, hdr.abs_error_bound,
               interp_config_for(config_, quant_param));
           append_pod<std::uint64_t>(payload, enc.codes.size());
           append_sized(payload, enc.anchors);
           append_sized(payload, enc.unpred);
-          Bytes code_blob =
-              encode_codes_with(config_.encoder, enc.codes, kQuantAlphabet);
-          append_bytes(payload, code_blob);
-          BufferPool::global().release(std::move(code_blob));
+          codes = std::move(enc.codes);
         } else {
-          const BlockEncoding enc = block_compress(
+          BlockEncoding enc = block_compress(
               slab, hdr.abs_error_bound,
               block_predictor_for(config_.predictor), config_.quantizer,
               quant_param);
@@ -209,11 +200,12 @@ Bytes ComposedCompressor::compress(const Field& field,
           append_sized(payload, enc.mode_bits);
           append_sized(payload, enc.coeffs);
           append_sized(payload, enc.unpred);
-          Bytes code_blob =
-              encode_codes_with(config_.encoder, enc.codes, kQuantAlphabet);
-          append_bytes(payload, code_blob);
-          BufferPool::global().release(std::move(code_blob));
+          codes = std::move(enc.codes);
         }
+        Bytes code_blob =
+            encode_codes_with(config_.encoder, codes, kQuantAlphabet);
+        append_bytes(payload, code_blob);
+        BufferPool::global().release(std::move(code_blob));
         return payload;
       });
 }
@@ -222,36 +214,30 @@ Field ComposedCompressor::decompress(std::span<const std::byte> blob,
                                      int threads) {
   return decompress_chunked(
       blob, threads,
-      [this](const BlobHeader& hdr, std::span<const std::byte> payload) {
+      [this](const BlobHeader& hdr, std::span<const std::byte> payload,
+             Field& out, std::size_t row0) {
         ByteReader r(payload);
         const double quant_param = read_component_header(r, config_);
+        const auto ncodes = r.read_pod<std::uint64_t>();
         if (is_interp(config_.predictor)) {
-          const auto ncodes = r.read_pod<std::uint64_t>();
           const auto anchors = read_sized(r);
           const auto unpred = read_sized(r);
-          const auto codes = decode_codes_checked(r, config_.encoder);
-          EBLCIO_CHECK_STREAM(codes.size() == ncodes,
-                              "composed: code count mismatch");
-          return interp_decompress(
+          const auto codes = decode_codes_checked(r, config_.encoder, ncodes);
+          return interp_decompress_rows(
               hdr, interp_config_for(config_, quant_param), codes, anchors,
-              unpred);
+              unpred, out, row0);
         }
-        const auto ncodes = r.read_pod<std::uint64_t>();
         // Block payloads carry one code per element; a mismatched count
         // can only be corruption.
         EBLCIO_CHECK_STREAM(ncodes == hdr.num_elements(),
                             "composed: code count mismatch");
         const auto mode_bits = read_sized(r);
-        const auto coeffs_bytes = read_sized(r);
-        const auto unpred_bytes = read_sized(r);
-        const auto codes = decode_codes_checked(r, config_.encoder);
-        EBLCIO_CHECK_STREAM(codes.size() == ncodes,
-                            "composed: code count mismatch");
-        ByteReader coeffs(coeffs_bytes);
-        ByteReader unpred(unpred_bytes);
-        return block_decompress(hdr, block_predictor_for(config_.predictor),
-                                config_.quantizer, quant_param, codes,
-                                mode_bits, coeffs, unpred);
+        ByteReader coeffs(read_sized(r));
+        ByteReader unpred(read_sized(r));
+        const auto codes = decode_codes_checked(r, config_.encoder, ncodes);
+        block_decompress_rows(hdr, block_predictor_for(config_.predictor),
+                              config_.quantizer, quant_param, codes,
+                              mode_bits, coeffs, unpred, out, row0);
       });
 }
 

@@ -58,14 +58,31 @@ BlobHeader BlobHeader::decode(ByteReader& r) {
   BlobHeader h;
   h.codec = r.read_string();
   h.dtype = static_cast<DType>(r.read_pod<std::uint8_t>());
+  EBLCIO_CHECK_STREAM(
+      h.dtype == DType::kFloat32 || h.dtype == DType::kFloat64,
+      "bad blob dtype");
   const int nd = r.read_pod<std::uint8_t>();
   EBLCIO_CHECK_STREAM(nd >= 1 && nd <= kMaxDims, "bad blob dims");
-  for (int i = 0; i < nd; ++i)
-    h.dims.push_back(static_cast<std::size_t>(r.read_pod<std::uint64_t>()));
+  // Decoders size their output from these: a zero extent, or a byte count
+  // past size_t (which would wrap to a small allocation), is forged.
+  std::size_t bytes = dtype_size(h.dtype);
+  for (int i = 0; i < nd; ++i) {
+    const auto d = static_cast<std::size_t>(r.read_pod<std::uint64_t>());
+    EBLCIO_CHECK_STREAM(d >= 1 && d <= SIZE_MAX / bytes, "bad blob dims");
+    bytes *= d;
+    h.dims.push_back(d);
+  }
   h.abs_error_bound = r.read_pod<double>();
   h.requested_mode = static_cast<BoundMode>(r.read_pod<std::uint8_t>());
   h.requested_bound = r.read_pod<double>();
   return h;
+}
+
+Field allocate_output(const BlobHeader& header) {
+  const Shape shape{std::span<const std::size_t>(header.dims)};
+  if (header.dtype == DType::kFloat32)
+    return Field(header.codec, NdArray<float>(shape));
+  return Field(header.codec, NdArray<double>(shape));
 }
 
 double absolute_bound_for(const Field& field, const CompressOptions& opt) {
@@ -80,6 +97,20 @@ double absolute_bound_for(const Field& field, const CompressOptions& opt) {
       return 0.0;
   }
   throw InvalidArgument("bad bound mode");
+}
+
+BlobHeader lossy_header(const std::string& codec, const Field& field,
+                        const CompressOptions& opt) {
+  EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
+                   codec + " is an error-bounded lossy compressor");
+  BlobHeader h;
+  h.codec = codec;
+  h.dtype = field.dtype();
+  h.dims = field.shape().dims_vector();
+  h.abs_error_bound = absolute_bound_for(field, opt);
+  h.requested_mode = opt.mode;
+  h.requested_bound = opt.error_bound;
+  return h;
 }
 
 Compressor& compressor(const std::string& name) {

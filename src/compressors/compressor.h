@@ -96,8 +96,17 @@ struct BlobHeader {
   }
 };
 
+// The zeroed field `header` describes, named after header.codec: the one
+// output a decoder writes into.
+Field allocate_output(const BlobHeader& header);
+
 // Converts the requested bound to an absolute bound for `field`.
 double absolute_bound_for(const Field& field, const CompressOptions& opt);
+
+// The header of a lossy `codec` blob of `field`, with opt's bound converted
+// to an absolute one. Throws InvalidArgument in lossless mode.
+BlobHeader lossy_header(const std::string& codec, const Field& field,
+                        const CompressOptions& opt);
 
 // --- Registry --------------------------------------------------------------
 

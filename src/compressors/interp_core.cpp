@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "compressors/backend.h"
+#include "compressors/chunking.h"
 #include "compressors/components.h"
 #include "compressors/quantizer.h"
 
@@ -303,21 +304,19 @@ InterpEncoding compress_impl(const NdArray<T>& arr, double abs_eb,
   return enc;
 }
 
+// Decodes a slab shaped header.dims into `arr` (its first output row).
+// Predictions read `arr` itself: only anchors and earlier passes' targets,
+// each already holding the T value compress kept in its recon buffer.
 template <typename T, typename Q>
-Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
-                      std::span<const std::uint32_t> codes,
-                      std::span<const std::byte> anchors,
-                      std::span<const std::byte> unpred) {
+void decompress_impl(const BlobHeader& header, const InterpConfig& config,
+                     std::span<const std::uint32_t> codes,
+                     std::span<const std::byte> anchors,
+                     std::span<const std::byte> unpred, T* const arr) {
   const Grid g = Grid::from_dims(header.dims);
   const std::size_t anchor_stride =
       config.anchor_stride ? config.anchor_stride : auto_anchor_stride(g);
   const double abs_eb = header.abs_error_bound;
 
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  // recon entries are anchors or quantizer round-trips: exactly
-  // T-representable, so storing T halves the buffer bandwidth with
-  // bit-identical reads.
-  std::vector<T> recon(g.num_elements(), T{0});
   ByteReader anchor_r(anchors);
   ByteReader unpred_r(unpred);
 
@@ -328,9 +327,7 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
         for (a[3] = 0; a[3] < g.dim[3]; a[3] += anchor_stride) {
           const std::size_t lin = a[0] * g.stride[0] + a[1] * g.stride[1] +
                                   a[2] * g.stride[2] + a[3];
-          const T v = anchor_r.read_pod<T>();
-          recon[lin] = v;
-          arr[lin] = v;
+          arr[lin] = anchor_r.read_pod<T>();
         }
 
   std::size_t code_idx = 0;
@@ -345,11 +342,11 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
            [&](const std::array<std::size_t, 4>& c, std::size_t base, int d,
                std::size_t h, int level, std::size_t start3,
                std::size_t step3) {
-             // Predictions read only previous-level recon values, so
-             // computing the whole row up front (including slots that turn
-             // out unpredictable, where the value goes unused) is safe.
-             predict_row(g, recon.data(), c, d, h, config.cubic, base,
-                         start3, step3, predbuf.data());
+             // Predictions read only previous-level values, so computing
+             // the whole row up front (including slots that turn out
+             // unpredictable, where the value goes unused) is safe.
+             predict_row(g, arr, c, d, h, config.cubic, base, start3, step3,
+                         predbuf.data());
              const Q& quant = quants[level];
              std::size_t i = 0;
              for (std::size_t c3 = start3; c3 < g.dim[3];
@@ -357,20 +354,13 @@ Field decompress_impl(const BlobHeader& header, const InterpConfig& config,
                EBLCIO_CHECK_STREAM(code_idx < codes.size(),
                                    "interp: code stream underrun");
                const std::uint32_t code = codes[code_idx++];
-               const std::size_t lin = base + c3;
-               T out;
-               if (code == 0) {
-                 out = unpred_r.read_pod<T>();
-               } else {
-                 out = static_cast<T>(quant.recover(predbuf[i], code));
-               }
-               recon[lin] = out;
-               arr[lin] = out;
+               arr[base + c3] =
+                   code == 0 ? unpred_r.read_pod<T>()
+                             : static_cast<T>(quant.recover(predbuf[i], code));
              }
            });
   EBLCIO_CHECK_STREAM(code_idx == codes.size(),
                       "interp: code stream overrun");
-  return Field(header.codec, std::move(arr));
 }
 
 }  // namespace
@@ -388,20 +378,32 @@ InterpEncoding interp_compress(const Field& field, double abs_eb,
       });
 }
 
+void interp_decompress_rows(const BlobHeader& slab,
+                            const InterpConfig& config,
+                            std::span<const std::uint32_t> codes,
+                            std::span<const std::byte> anchors,
+                            std::span<const std::byte> unpred, Field& out,
+                            std::size_t row0) {
+  with_quantizer(
+      config.quantizer, slab.abs_error_bound, config.quant_param,
+      [&](auto proto) {
+        using Q = decltype(proto);
+        if (slab.dtype == DType::kFloat32)
+          decompress_impl<float, Q>(slab, config, codes, anchors, unpred,
+                                    slab_data<float>(out, slab, row0));
+        else
+          decompress_impl<double, Q>(slab, config, codes, anchors, unpred,
+                                     slab_data<double>(out, slab, row0));
+      });
+}
+
 Field interp_decompress(const BlobHeader& header, const InterpConfig& config,
                         std::span<const std::uint32_t> codes,
                         std::span<const std::byte> anchors,
                         std::span<const std::byte> unpred) {
-  return with_quantizer(
-      config.quantizer, header.abs_error_bound, config.quant_param,
-      [&](auto proto) {
-        using Q = decltype(proto);
-        return header.dtype == DType::kFloat32
-                   ? decompress_impl<float, Q>(header, config, codes,
-                                               anchors, unpred)
-                   : decompress_impl<double, Q>(header, config, codes,
-                                                anchors, unpred);
-      });
+  Field out = allocate_output(header);
+  interp_decompress_rows(header, config, codes, anchors, unpred, out, 0);
+  return out;
 }
 
 Bytes interp_payload_encode(const InterpConfig& config,
@@ -419,19 +421,20 @@ Bytes interp_payload_encode(const InterpConfig& config,
   return out;
 }
 
-InterpPayload interp_payload_decode(std::span<const std::byte> payload) {
+void interp_payload_decompress(const BlobHeader& slab,
+                               std::span<const std::byte> payload, Field& out,
+                               std::size_t row0) {
   ByteReader r(payload);
-  InterpPayload p;
-  p.config.anchor_stride = r.read_pod<std::uint64_t>();
-  p.config.level_gamma = r.read_pod<double>();
-  p.config.cubic = r.read_pod<std::uint8_t>() != 0;
+  InterpConfig config;
+  config.anchor_stride = r.read_pod<std::uint64_t>();
+  config.level_gamma = r.read_pod<double>();
+  config.cubic = r.read_pod<std::uint8_t>() != 0;
   const auto ncodes = r.read_pod<std::uint64_t>();
-  p.anchors = read_sized(r);
-  p.unpred = read_sized(r);
-  p.codes = decode_code_stream(r);
-  EBLCIO_CHECK_STREAM(p.codes.size() == ncodes,
-                      "interp: code count mismatch");
-  return p;
+  const auto anchors = read_sized(r);
+  const auto unpred = read_sized(r);
+  const auto codes = decode_code_stream(r);
+  EBLCIO_CHECK_STREAM(codes.size() == ncodes, "interp: code count mismatch");
+  interp_decompress_rows(slab, config, codes, anchors, unpred, out, row0);
 }
 
 }  // namespace eblcio

@@ -47,23 +47,29 @@ struct InterpEncoding {
 InterpEncoding interp_compress(const Field& field, double abs_eb,
                                const InterpConfig& config);
 
-// Reconstructs a field from an InterpEncoding produced with identical
-// (dims, abs_eb, config).
+// Reconstructs a slab from an InterpEncoding produced with identical
+// (slab.dims, abs_eb, config) into its rows of `out` from row0 on
+// (placement checked by slab_data before any write).
+void interp_decompress_rows(const BlobHeader& slab,
+                            const InterpConfig& config,
+                            std::span<const std::uint32_t> codes,
+                            std::span<const std::byte> anchors,
+                            std::span<const std::byte> unpred, Field& out,
+                            std::size_t row0);
+
+// interp_decompress_rows into a new field (see allocate_output).
 Field interp_decompress(const BlobHeader& header, const InterpConfig& config,
                         std::span<const std::uint32_t> codes,
                         std::span<const std::byte> anchors,
                         std::span<const std::byte> unpred);
 
-// Serialization helpers shared by SZ3 and QoZ: payload =
+// The payload SZ3 and QoZ share:
 //   [config] [ncodes] [anchors] [unpred] [code stream backend blob].
+// interp_payload_decompress is their slab decoder (a PayloadDecompressFn).
 Bytes interp_payload_encode(const InterpConfig& config,
                             const InterpEncoding& enc);
-struct InterpPayload {
-  InterpConfig config;
-  std::vector<std::uint32_t> codes;
-  std::span<const std::byte> anchors;
-  std::span<const std::byte> unpred;
-};
-InterpPayload interp_payload_decode(std::span<const std::byte> payload);
+void interp_payload_decompress(const BlobHeader& slab,
+                               std::span<const std::byte> payload, Field& out,
+                               std::size_t row0);
 
 }  // namespace eblcio

@@ -24,17 +24,15 @@ inline BlobHeader lossless_header(const std::string& codec,
 
 inline Field field_from_bytes(const BlobHeader& header,
                               std::span<const std::byte> raw) {
-  const Shape shape{std::span<const std::size_t>(header.dims)};
-  const std::size_t expect = shape.num_elements() * dtype_size(header.dtype);
-  EBLCIO_CHECK_STREAM(raw.size() == expect, "lossless: payload size mismatch");
-  if (header.dtype == DType::kFloat32) {
-    NdArray<float> arr(shape);
-    std::memcpy(arr.data(), raw.data(), raw.size());
-    return Field(header.codec, std::move(arr));
-  }
-  NdArray<double> arr(shape);
-  std::memcpy(arr.data(), raw.data(), raw.size());
-  return Field(header.codec, std::move(arr));
+  EBLCIO_CHECK_STREAM(
+      raw.size() == header.num_elements() * dtype_size(header.dtype),
+      "lossless: payload size mismatch");
+  Field out = allocate_output(header);
+  if (header.dtype == DType::kFloat32)
+    std::memcpy(out.as<float>().data(), raw.data(), raw.size());
+  else
+    std::memcpy(out.as<double>().data(), raw.data(), raw.size());
+  return out;
 }
 
 }  // namespace eblcio

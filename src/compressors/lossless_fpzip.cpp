@@ -163,15 +163,15 @@ Field fpzip_decompress_impl(const BlobHeader& header,
           mapped[lin] = lorenzo_int(g, mapped.data(), c, lin) + resid;
         }
 
-  const Shape shape{std::span<const std::size_t>(header.dims)};
-  NdArray<T> arr(shape);
+  Field out = allocate_output(header);
+  NdArray<T>& arr = out.as<T>();
   for (std::size_t i = 0; i < n; ++i) {
     if constexpr (sizeof(T) == 4)
       arr[i] = unmap_bits_f32(mapped[i]);
     else
       arr[i] = unmap_bits_f64(mapped[i]);
   }
-  return Field(header.codec, std::move(arr));
+  return out;
 }
 
 }  // namespace

@@ -18,19 +18,10 @@
 namespace eblcio {
 
 Bytes Sz2Compressor::compress(const Field& field, const CompressOptions& opt) {
-  EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
-                   "SZ2 is an error-bounded lossy compressor");
+  const BlobHeader header = lossy_header(name(), field, opt);
   if (opt.threads > 1 && !supports(field, opt))
     throw Unsupported(
         "the OpenMP version of SZ2 does not support 1D or 4D data");
-
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
 
   // Stage 1 (parallel over slabs): prediction + quantization. A single
   // slab is the whole field — compress it in place instead of paying
@@ -86,51 +77,52 @@ Field Sz2Compressor::decompress(std::span<const std::byte> blob,
   ByteReader r(blob);
   const BlobHeader header = BlobHeader::decode(r);
   const auto nslabs = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(nslabs >= 1, "SZ2: bad slab count");
+  // Each slab owns a row and 4 u64 fields (code count, 3 stream sizes): a
+  // count past either bound is forged and would size the table below.
+  EBLCIO_CHECK_STREAM(nslabs >= 1 && nslabs <= header.dims[0] &&
+                          nslabs <= r.remaining().size() /
+                                        (4 * sizeof(std::uint64_t)),
+                      "SZ2: bad slab count");
 
-  struct SlabMeta {
-    std::uint64_t ncodes;
+  struct Slab {
+    BlobHeader header;  // the slab's dims
+    std::size_t row0 = 0;
     std::span<const std::byte> mode_bits, coeffs, unpred;
   };
-  std::vector<SlabMeta> metas(nslabs);
-  for (auto& m : metas) {
-    m.ncodes = r.read_pod<std::uint64_t>();
+  std::vector<Slab> slabs(nslabs);
+  for (std::uint32_t i = 0; i < nslabs; ++i) {
+    Slab& m = slabs[i];
+    m.header = header;
+    m.header.dims[0] = slab_rows(header.dims[0], nslabs, static_cast<int>(i));
+    m.row0 = slab_row_start(header.dims[0], nslabs, static_cast<int>(i));
+    // The block engine emits one code per element, so slab i's codes are
+    // those of its rows; any other count is corruption.
+    EBLCIO_CHECK_STREAM(r.read_pod<std::uint64_t>() == m.header.num_elements(),
+                        "SZ2: code stream size mismatch");
     m.mode_bits = read_sized(r);
     m.coeffs = read_sized(r);
     m.unpred = read_sized(r);
   }
   // Serial entropy decode of the global code stream.
-  auto codes = decode_code_stream(r);
+  const auto codes = decode_code_stream(r);
+  EBLCIO_CHECK_STREAM(codes.size() == header.num_elements(),
+                      "SZ2: code stream size mismatch");
 
-  // Parallel per-slab reconstruction.
-  std::vector<std::size_t> code_offsets(nslabs, 0);
-  {
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < nslabs; ++i) {
-      code_offsets[i] = off;
-      off += metas[i].ncodes;
-    }
-    EBLCIO_CHECK_STREAM(off == codes.size(), "SZ2: code stream size mismatch");
-  }
-  const auto decode_slab = [&](std::size_t i) {
-    BlobHeader slab_header = header;
-    slab_header.dims[0] =
-        slab_rows(header.dims[0], nslabs, static_cast<int>(i));
-    ByteReader coeffs(metas[i].coeffs);
-    ByteReader unpred(metas[i].unpred);
-    std::span<const std::uint32_t> slab_codes(
-        codes.data() + code_offsets[i], metas[i].ncodes);
-    return block_decompress(slab_header, BlockPredictor::kLorenzoRegression,
-                            QuantizerId::kLinearRecip, 0.0, slab_codes,
-                            metas[i].mode_bits, coeffs, unpred);
-  };
-  // A single slab is the whole field: return it instead of copying it
-  // through merge_slabs (the mirror of compress's single-slab path).
-  if (nslabs == 1) return decode_slab(0);
-  std::vector<Field> slab_fields(nslabs);
-  parallel_for(nslabs, std::max(threads, 1),
-               [&](std::size_t i) { slab_fields[i] = decode_slab(i); });
-  return merge_slabs(slab_fields, header.dims, "SZ2");
+  // Parallel per-slab reconstruction, each slab into its rows of `out`.
+  Field out = allocate_output(header);
+  const std::size_t row_elems = header.num_elements() / header.dims[0];
+  parallel_for(nslabs, std::max(threads, 1), [&](std::size_t i) {
+    const Slab& m = slabs[i];
+    ByteReader coeffs(m.coeffs);
+    ByteReader unpred(m.unpred);
+    block_decompress_rows(
+        m.header, BlockPredictor::kLorenzoRegression,
+        QuantizerId::kLinearRecip, 0.0,
+        std::span<const std::uint32_t>(codes).subspan(
+            m.row0 * row_elems, m.header.num_elements()),
+        m.mode_bits, coeffs, unpred, out, m.row0);
+  });
+  return out;
 }
 
 }  // namespace eblcio

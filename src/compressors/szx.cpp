@@ -110,8 +110,9 @@ Bytes szx_payload_compress(const Field& field, const BlobHeader& header,
 }
 
 template <typename T>
-Field szx_payload_decompress(const BlobHeader& header,
-                             std::span<const std::byte> payload) {
+void szx_payload_decompress(const BlobHeader& header,
+                            std::span<const std::byte> payload, Field& out,
+                            std::size_t row0) {
   const std::size_t n = header.num_elements();
   const double eb2 = 2.0 * header.abs_error_bound;
   const std::size_t nblocks = (n + kBlock - 1) / kBlock;
@@ -123,8 +124,7 @@ Field szx_payload_decompress(const BlobHeader& header,
   const auto bits_size = r.read_pod<std::uint64_t>();
   BitReader bits(r.read_bytes(bits_size));
 
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  T* y = arr.data();
+  T* const y = slab_data<T>(out, header, row0);
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(n, lo + kBlock);
@@ -159,7 +159,6 @@ Field szx_payload_decompress(const BlobHeader& header,
         throw CorruptStream("SZx: bad block flag");
     }
   }
-  return Field("SZx", std::move(arr));
 }
 
 Bytes payload_compress(const Field& field, const BlobHeader& header,
@@ -169,26 +168,20 @@ Bytes payload_compress(const Field& field, const BlobHeader& header,
              : szx_payload_compress<double>(field, header, opt);
 }
 
-Field payload_decompress(const BlobHeader& header,
-                         std::span<const std::byte> payload) {
-  return header.dtype == DType::kFloat32
-             ? szx_payload_decompress<float>(header, payload)
-             : szx_payload_decompress<double>(header, payload);
+void payload_decompress(const BlobHeader& header,
+                        std::span<const std::byte> payload, Field& out,
+                        std::size_t row0) {
+  if (header.dtype == DType::kFloat32)
+    szx_payload_decompress<float>(header, payload, out, row0);
+  else
+    szx_payload_decompress<double>(header, payload, out, row0);
 }
 
 }  // namespace
 
 Bytes SzxCompressor::compress(const Field& field, const CompressOptions& opt) {
-  EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
-                   "SZx is an error-bounded lossy compressor");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
-  return compress_chunked(header, field, opt, payload_compress);
+  return compress_chunked(lossy_header(name(), field, opt), field, opt,
+                          payload_compress);
 }
 
 Field SzxCompressor::decompress(std::span<const std::byte> blob,

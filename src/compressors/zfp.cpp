@@ -386,21 +386,23 @@ Field zfp_decompress_impl(const BlobHeader& header,
   const ZfpGeometry g = ZfpGeometry::from_dims(header.dims);
   const int minexp = minexp_for(header.abs_error_bound);
 
-  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
-  T* base = arr.data();
-
   ByteReader r(payload);
   const auto nchunks = r.read_pod<std::uint32_t>();
-  EBLCIO_CHECK_STREAM(nchunks >= 1, "ZFP: empty stream table");
-  std::vector<std::uint64_t> sizes(nchunks);
-  for (auto& s : sizes) s = r.read_pod<std::uint64_t>();
+  // Each stream owns at least one block, and the size table must fit the
+  // blob: a forged count fails here, before it sizes anything.
+  EBLCIO_CHECK_STREAM(nchunks >= 1 && nchunks <= g.total_blocks,
+                      "ZFP: bad stream count");
+  ByteReader sizes(r.read_bytes(nchunks * sizeof(std::uint64_t)));
+
+  NdArray<T> arr(Shape{std::span<const std::size_t>(header.dims)});
+  T* base = arr.data();
 
   // Serial block decode (zfp's OpenMP policy does not cover decompression).
   double vals[64];
   for (std::uint32_t c = 0; c < nchunks; ++c) {
     const std::size_t lo = g.total_blocks * c / nchunks;
     const std::size_t hi = g.total_blocks * (c + 1) / nchunks;
-    BitReader br(r.read_bytes(sizes[c]));
+    BitReader br(r.read_bytes(sizes.read_pod<std::uint64_t>()));
     for (std::size_t blk = lo; blk < hi; ++blk) {
       decode_block(br, vals, g.d, minexp);
       scatter_block(g, base, blk, vals);
@@ -412,15 +414,7 @@ Field zfp_decompress_impl(const BlobHeader& header,
 }  // namespace
 
 Bytes ZfpCompressor::compress(const Field& field, const CompressOptions& opt) {
-  EBLCIO_CHECK_ARG(opt.mode != BoundMode::kLossless,
-                   "ZFP here implements fixed-accuracy (lossy) mode only");
-  BlobHeader header;
-  header.codec = name();
-  header.dtype = field.dtype();
-  header.dims = field.shape().dims_vector();
-  header.abs_error_bound = absolute_bound_for(field, opt);
-  header.requested_mode = opt.mode;
-  header.requested_bound = opt.error_bound;
+  const BlobHeader header = lossy_header(name(), field, opt);
 
   Bytes out;
   header.encode(out);

@@ -168,23 +168,9 @@ ZonedField ZoneCompressor::compress(const Field& field,
 }
 
 Field ZoneCompressor::decompress_all(const ZonedField& zoned, bool parallel) {
-  check_zoned(zoned);
-
-  std::vector<std::size_t> cells(zoned.zones());
-  for (std::size_t i = 0; i < cells.size(); ++i) cells[i] = i;
-  SweepOptions sweep;
-  sweep.parallel = parallel;
-  auto report = sweep_grid(
-      std::move(cells),
-      [&](const std::size_t& i, SweepCellContext&) {
-        return decode_zone(zoned, i);
-      },
-      sweep);
-  report.rethrow_first_error();
-
-  std::vector<Field> zones(report.cells.size());
-  for (auto& cell : report.cells) zones[cell.index] = std::move(*cell.result);
-  return merge_slabs(zones, zoned.dims, zoned.name);
+  const Region full{std::vector<std::size_t>(zoned.dims.size(), 0),
+                    zoned.dims};
+  return decompress_region(zoned, full, parallel);
 }
 
 Field ZoneCompressor::decompress_region(const ZonedField& zoned,

@@ -73,8 +73,8 @@ class ZoneCompressor {
   ZonedField compress(const Field& field, const CompressOptions& opt,
                       bool parallel = true) const;
 
-  // Decodes every zone (independent tasks when parallel) and merges them
-  // into the full field. Bit-identical between parallel and serial.
+  // decompress_region over the full box (every zone decoded, checked and
+  // placed by the one scatter). Bit-identical between parallel and serial.
   static Field decompress_all(const ZonedField& zoned, bool parallel = true);
 
   // Decodes only the zones covering `region` and assembles the region

@@ -39,6 +39,50 @@ TEST(Chunking, SplitMergeIsIdentity) {
   }
 }
 
+TEST(Chunking, MergeChecksEverySlabBeforeCopying) {
+  const Field f = smooth_field_3d(8);
+  const auto dims = f.shape().dims_vector();
+  // One row short, and one slab too many: both caught before any copy.
+  auto slabs = split_slabs(f, 4);
+  slabs.pop_back();
+  EXPECT_THROW(merge_slabs(slabs, dims, "m"), InvalidArgument);
+  slabs = split_slabs(f, 4);
+  slabs.push_back(slabs.back());
+  EXPECT_THROW(merge_slabs(slabs, dims, "m"), InvalidArgument);
+  // A slab whose trailing dims differ from the output's.
+  slabs = split_slabs(f, 2);
+  slabs[1] = split_slabs(smooth_field_3d(4), 1)[0];
+  EXPECT_THROW(merge_slabs(slabs, {8, 8, 8}, "m"), InvalidArgument);
+}
+
+TEST(Chunking, SlabDataChecksPlacement) {
+  Field out("o", NdArray<float>(Shape{6, 4, 3}));
+  BlobHeader slab;
+  slab.dtype = DType::kFloat32;
+  slab.dims = {2, 4, 3};
+  EXPECT_EQ(slab_data<float>(out, slab, 4), out.as<float>().data() + 48);
+  EXPECT_THROW(slab_data<float>(out, slab, 5), InvalidArgument);
+  EXPECT_THROW(slab_data<float>(out, slab, ~std::size_t{0}), InvalidArgument);
+  slab.dims = {2, 4, 2};
+  EXPECT_THROW(slab_data<float>(out, slab, 0), InvalidArgument);
+  slab.dims = {2, 12};
+  EXPECT_THROW(slab_data<float>(out, slab, 0), InvalidArgument);
+  slab.dims = {2, 4, 3};
+  slab.dtype = DType::kFloat64;
+  EXPECT_THROW(slab_data<double>(out, slab, 0), InvalidArgument);
+}
+
+TEST(Chunking, SlabRowStartsFollowSlabRows) {
+  for (std::size_t d0 : {1u, 7u, 10u, 64u})
+    for (int n = 1; n <= static_cast<int>(d0) && n <= 9; ++n) {
+      std::size_t start = 0;
+      for (int c = 0; c < n; ++c) {
+        EXPECT_EQ(slab_row_start(d0, n, c), start);
+        start += slab_rows(d0, n, c);
+      }
+    }
+}
+
 TEST(Chunking, SplitCapsAtDimZero) {
   const Field f = double_field_4d(3, 8);  // dim0 = 3
   const auto slabs = split_slabs(f, 16);
@@ -69,11 +113,12 @@ TEST(Chunking, ContainerRoundTripSingleAndChunked) {
     return Bytes(raw.begin(), raw.end());
   };
   PayloadDecompressFn dekernel = [](const BlobHeader& h,
-                                    std::span<const std::byte> payload) {
-    NdArray<float> arr(Shape{std::span<const std::size_t>(h.dims)});
-    EBLCIO_CHECK_STREAM(payload.size() == arr.size_bytes(), "size");
-    std::memcpy(arr.data(), payload.data(), payload.size());
-    return Field(h.codec, std::move(arr));
+                                    std::span<const std::byte> payload,
+                                    Field& out, std::size_t row0) {
+    EBLCIO_CHECK_STREAM(payload.size() == h.num_elements() * sizeof(float),
+                        "size");
+    std::memcpy(slab_data<float>(out, h, row0), payload.data(),
+                payload.size());
   };
 
   for (int threads : {1, 4}) {
